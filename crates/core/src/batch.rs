@@ -46,6 +46,9 @@ use crate::{
     Observation, SimReport, Simulation, SlotRecord, Transition,
 };
 
+/// Slots of every lane's trace staged per refill of the trace window.
+const TRACE_BLOCK: usize = 64;
+
 /// Lane-major histogram counts for a batch whose lanes all share one
 /// histogram shape (`lanes × bins` in one allocation, plus under/overflow
 /// columns). The binning arithmetic replicates [`Histogram::add`] op for op
@@ -448,15 +451,9 @@ impl ForesightedLanes {
                 |s, a| p.post_state(s, a),
                 delta,
             ),
-            LearnerLanes::Standard(l) => l.update(
-                i,
-                s,
-                t.action.index(),
-                reward,
-                s_next,
-                &allowed_next,
-                delta,
-            ),
+            LearnerLanes::Standard(l) => {
+                l.update(i, s, t.action.index(), reward, s_next, &allowed_next, delta)
+            }
         }
     }
 
@@ -532,7 +529,9 @@ impl ForesightedLanes {
             allowed[self.rngs[i].random_range(0..allowed.len())]
         } else {
             match &self.learner {
-                LearnerLanes::Batch(l) => l.select_greedy(i, s, &allowed, |s, a| p.post_state(s, a)),
+                LearnerLanes::Batch(l) => {
+                    l.select_greedy(i, s, &allowed, |s, a| p.post_state(s, a))
+                }
                 LearnerLanes::Standard(l) => l.select_greedy(i, s, &allowed),
             }
         };
@@ -550,10 +549,12 @@ impl ForesightedLanes {
     fn sync_into_policy(&self, i: usize, policy: &mut ForesightedPolicy) {
         match (&self.learner, policy.learner_mut()) {
             (LearnerLanes::Batch(l), Learner::Batch(agent)) => {
-                l.sync_into(i, agent).expect("lane shape matches its source");
+                l.sync_into(i, agent)
+                    .expect("lane shape matches its source");
             }
             (LearnerLanes::Standard(l), Learner::Standard(agent)) => {
-                l.sync_into(i, agent).expect("lane shape matches its source");
+                l.sync_into(i, agent)
+                    .expect("lane shape matches its source");
             }
             _ => unreachable!("lane learner kind matches the policy it was packed from"),
         }
@@ -625,20 +626,18 @@ pub struct BatchSim {
     charge_efficiencies: Vec<f64>,
     supplies: Vec<Temperature>,
     outage_downtimes: Vec<Duration>,
-    /// Per-lane wrapping cursor into the trace (`slot_index % trace_len`,
-    /// maintained incrementally — no per-slot integer division). Unused (and
-    /// not maintained) while `packed_traces` is `Some`.
+    /// Per-lane wrapping cursor into the trace: the first slot not yet
+    /// staged in `trace_window`, advanced a block at a time by the refill.
     trace_positions: Vec<u32>,
-    /// Slot-major transpose of all lanes' traces (`[pos · lanes + i]`),
-    /// built when every lane shares one trace length and one starting
-    /// cursor. Phase 1 then reads one contiguous lanes-wide row per slot
-    /// instead of gathering from `lanes` separate heap allocations. Costs
-    /// one extra copy of the trace data; `None` on ragged batches.
-    packed_traces: Option<Vec<Power>>,
-    /// Shared trace cursor for the `packed_traces` fast path. Lanes advance
-    /// their cursors in lockstep (every lane, every slot, outage or not), so
-    /// a batch that starts uniform stays uniform forever.
-    uniform_pos: u32,
+    /// The next `TRACE_BLOCK` slots of every lane's trace, one lanes-wide
+    /// row per slot (`[row · lanes + i]`), so phase 1 reads one contiguous
+    /// row instead of gathering from `lanes` separate heap allocations.
+    /// Lanes advance in lockstep (every lane, every slot, outage or not),
+    /// so one row counter serves lanes of any trace length and phase.
+    trace_window: Vec<Power>,
+    /// Row of `trace_window` the next slot reads; `TRACE_BLOCK` means the
+    /// window is spent and refills before that slot.
+    window_row: usize,
 
     // ---- SoA hot state. ----
     zones: ZoneLanes,
@@ -765,19 +764,6 @@ impl BatchSim {
             .zip(&traces)
             .map(|(&k, t)| (k % t.len() as u64) as u32)
             .collect();
-        let trace_len = traces[0].len();
-        let uniform = traces.iter().all(|t| t.len() == trace_len)
-            && trace_positions.iter().all(|&p| p == trace_positions[0]);
-        let packed_traces = if uniform {
-            let mut packed = Vec::with_capacity(trace_len * lanes);
-            for pos in 0..trace_len {
-                packed.extend(traces.iter().map(|t| t.samples()[pos]));
-            }
-            Some(packed)
-        } else {
-            None
-        };
-        let uniform_pos = trace_positions[0];
         BatchSim {
             configs,
             traces,
@@ -811,8 +797,8 @@ impl BatchSim {
             supplies,
             outage_downtimes,
             trace_positions,
-            packed_traces,
-            uniform_pos,
+            trace_window: vec![Power::ZERO; TRACE_BLOCK * lanes],
+            window_row: TRACE_BLOCK,
             zones,
             sc_lanes,
             slot,
@@ -881,34 +867,15 @@ impl BatchSim {
         let lanes = self.len();
         self.active.clear();
         // ---- Phase 1: slot bookkeeping + benign tenants. ----
-        // Take the transposed traces out of `self` so the demand row can be
-        // borrowed across the (mutating) lane loop; restored right after.
-        let packed_traces = self.packed_traces.take();
-        let row: Option<&[Power]> = packed_traces.as_deref().map(|packed| {
-            let at = self.uniform_pos as usize * lanes;
-            self.uniform_pos += 1;
-            if self.uniform_pos as usize * lanes == packed.len() {
-                self.uniform_pos = 0;
-            }
-            &packed[at..at + lanes]
-        });
+        if self.window_row == TRACE_BLOCK {
+            self.refill_trace_window();
+        }
+        let row_at = self.window_row * lanes;
+        self.window_row += 1;
         for i in 0..lanes {
             let k = self.slot_indices[i];
             self.slot_indices[i] += 1;
-            // One contiguous lanes-wide row on the uniform fast path; the
-            // ragged fallback gathers from each lane's own trace (and is the
-            // only consumer of the per-lane cursors).
-            let benign_demand = match row {
-                Some(r) => r[i],
-                None => {
-                    let pos = self.trace_positions[i] as usize;
-                    self.trace_positions[i] += 1;
-                    if self.trace_positions[i] as usize == self.traces[i].len() {
-                        self.trace_positions[i] = 0;
-                    }
-                    self.traces[i].samples()[pos]
-                }
-            };
+            let benign_demand = self.trace_window[row_at + i];
             if self.outage_remainings[i].is_some() {
                 // Outage downtime: everything is off; the zone pass cools
                 // the lane at zero load and phase 6 finishes the books.
@@ -954,7 +921,6 @@ impl BatchSim {
                 r.outage = false;
             }
         }
-        self.packed_traces = packed_traces;
 
         // ---- Phase 2: side-channel uniforms. ----
         // Hoisting the draws ahead of the estimate is value-identical: the
@@ -1226,6 +1192,24 @@ impl BatchSim {
         }
         hbm_telemetry::timing::record_span_units("batch.step", started, lanes as u64);
         down
+    }
+
+    /// Stages the next `TRACE_BLOCK` slots of every lane's trace into
+    /// `trace_window`, advancing each lane's cursor and wrapping at its own
+    /// trace length. Reuses the window's allocation.
+    fn refill_trace_window(&mut self) {
+        let lanes = self.len();
+        for (i, trace) in self.traces.iter().enumerate() {
+            let samples = trace.samples();
+            let mut pos = self.trace_positions[i] as usize;
+            // Column `i` of the window: exactly `TRACE_BLOCK` rows.
+            for cell in self.trace_window[i..].iter_mut().step_by(lanes) {
+                *cell = samples[pos];
+                pos = if pos + 1 == samples.len() { 0 } else { pos + 1 };
+            }
+            self.trace_positions[i] = pos as u32;
+        }
+        self.window_row = 0;
     }
 
     /// Runs `slots` slots and returns the per-slot count of lanes that were

@@ -304,33 +304,6 @@ impl Scenario {
         Ok((Simulation::new(config, policy, self.seed), needs_warmup))
     }
 
-    /// Like [`Scenario::build_sim`], but reuses `donor`'s benign workload
-    /// trace when this scenario would generate the identical one — same
-    /// trace configuration and same seed as `donor_seed` (the seed `donor`
-    /// was built with). Trace synthesis dominates simulator construction,
-    /// so this turns a fork-and-perturb rebuild into a cheap state copy;
-    /// scenarios that *do* change the workload (a `utilization` override,
-    /// a different seed) fall back to generating, so the result is always
-    /// bit-identical to [`Scenario::build_sim`].
-    ///
-    /// # Errors
-    ///
-    /// Returns a message for an unknown policy or invalid configuration.
-    pub fn build_sim_sharing_trace(
-        &self,
-        donor: &Simulation,
-        donor_seed: u64,
-    ) -> Result<(Simulation, bool), String> {
-        let config = self.build_config()?;
-        let (policy, needs_warmup) = build_policy(&self.policy, &config, self.seed)?;
-        let sim = if self.seed == donor_seed && config.trace == donor.config().trace {
-            Simulation::with_trace(config, policy, self.seed, donor.trace_arc())
-        } else {
-            Simulation::new(config, policy, self.seed)
-        };
-        Ok((sim, needs_warmup))
-    }
-
     /// Builds the configuration and policy, runs the simulation (warming
     /// up learning policies), and returns the report.
     ///

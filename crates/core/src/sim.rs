@@ -10,7 +10,7 @@ use hbm_sidechannel::VoltageSideChannel;
 use hbm_telemetry::{ChannelValue, Recorder, Sample};
 use hbm_thermal::ZoneModel;
 use hbm_units::{Duration, Energy, Power, Temperature};
-use hbm_workload::{generate, PowerTrace};
+use hbm_workload::{generate_shared, PowerTrace};
 
 use crate::{AttackAction, AttackPolicy, ColoConfig, Metrics, Observation, Transition};
 
@@ -129,8 +129,9 @@ pub(crate) fn emit_sample(rec: &mut dyn Recorder, r: &SlotRecord, raw_estimate: 
 pub struct Simulation {
     pub(crate) config: ColoConfig,
     /// The benign workload trace. Behind an [`Arc`] because it is the one
-    /// large piece of *static* state: [`Simulation::fork`] shares it
-    /// instead of copying megabytes of samples per branch.
+    /// large piece of *static* state: simulators built from one trace
+    /// config ([`hbm_workload::generate_shared`]) and their forks share it
+    /// instead of copying megabytes of samples each.
     pub(crate) trace: Arc<PowerTrace>,
     pub(crate) zone: ZoneModel,
     pub(crate) protocol: EmergencyProtocol,
@@ -159,24 +160,12 @@ impl Simulation {
     ///
     /// Panics if `config` fails [`ColoConfig::validate`].
     pub fn new(config: ColoConfig, policy: Box<dyn AttackPolicy>, seed: u64) -> Self {
+        config.validate().expect("invalid colocation config");
         let mut trace_config = config.trace;
         trace_config.seed = trace_config.seed.wrapping_add(seed);
-        let trace = Arc::new(generate(&trace_config));
-        Self::with_trace(config, policy, seed, trace)
-    }
-
-    /// Like [`Simulation::new`], but with an already-generated workload
-    /// trace instead of synthesizing one. The caller is responsible for
-    /// passing exactly the trace [`Simulation::new`] would generate for
-    /// this `config`/`seed` pair — [`crate::Scenario::build_sim_sharing_trace`]
-    /// checks that before sharing a donor's `Arc`.
-    pub(crate) fn with_trace(
-        config: ColoConfig,
-        policy: Box<dyn AttackPolicy>,
-        seed: u64,
-        trace: Arc<PowerTrace>,
-    ) -> Self {
-        config.validate().expect("invalid colocation config");
+        // Every simulator built from this trace config aliases one trace
+        // for as long as any of them is alive.
+        let trace = generate_shared(&trace_config);
         let zone = ZoneModel::new(
             config.cooling,
             config.zone_heat_capacity_j_per_k,
@@ -212,12 +201,6 @@ impl Simulation {
     /// The benign workload trace in use.
     pub fn trace(&self) -> &PowerTrace {
         &self.trace
-    }
-
-    /// A shared handle to the workload trace (traces are immutable, so
-    /// forked and rebuilt simulators can alias one allocation).
-    pub(crate) fn trace_arc(&self) -> Arc<PowerTrace> {
-        Arc::clone(&self.trace)
     }
 
     /// Current inlet temperature.

@@ -142,12 +142,10 @@ impl StateTree {
             self.base.fork()
         } else {
             // The warm-up flag is irrelevant here: the transplanted
-            // snapshot already carries the warmed-up tables. Sharing the
-            // base's trace (valid unless the perturbation changes the
-            // workload itself) keeps branching a state copy rather than a
-            // trace regeneration.
-            let (mut sim, _needs_warmup) =
-                effective.build_sim_sharing_trace(&self.base, self.base_scenario.seed)?;
+            // snapshot already carries the warmed-up tables. Unless the
+            // perturbation changes the workload itself, the rebuild gets
+            // the live base's shared trace back instead of regenerating it.
+            let (mut sim, _needs_warmup) = effective.build_sim()?;
             sim.restore(&self.base_snapshot)?;
             sim
         };

@@ -161,7 +161,11 @@ fn foresighted_fleet() -> Vec<Simulation> {
             policy.set_teacher(Power::from_kilowatts(7.56), 0);
         }
         policy.set_learning(learning);
-        sims.push(Simulation::new(base.clone(), Box::new(policy), 4 + i as u64));
+        sims.push(Simulation::new(
+            base.clone(),
+            Box::new(policy),
+            4 + i as u64,
+        ));
     }
     sims
 }
@@ -251,7 +255,11 @@ fn all_foresighted_standard_q_batch_matches_sequential() {
     }
     let reports = batch.take_reports();
     for (i, (want, _)) in reference.iter().enumerate() {
-        assert_eq!(reports[i], want.clone(), "standard-Q lane {i} report diverged");
+        assert_eq!(
+            reports[i],
+            want.clone(),
+            "standard-Q lane {i} report diverged"
+        );
     }
 
     // Mixed learner kinds cannot share one packed matrix; the batch must
@@ -362,4 +370,84 @@ fn sharded_run_is_thread_count_invariant() {
         assert_eq!(run.sims.len(), reports_ref.len());
     }
     hbm_par::configure_threads(1);
+}
+
+/// Lanes with different trace lengths (including one shorter than a trace
+/// window block) and different starting slots, some warmed up first. The
+/// batch stages every lane's trace through one shared window, so this pins
+/// refills, per-lane wraps, and a hand-back mid-block to the scalar run.
+fn ragged_scenarios() -> Vec<Simulation> {
+    let mut sims = Vec::new();
+    for (i, (len, warmup)) in [
+        (100, 0),
+        (100, 37),
+        (1440, 13),
+        (1440, 1439),
+        (7 * 1440, 0),
+        (7 * 1440, 7 * 1440 - 200),
+    ]
+    .into_iter()
+    .enumerate()
+    {
+        let config = ColoConfig::paper_default().with_trace_len(len);
+        let seed = 40 + i as u64;
+        let policy: Box<dyn hbm_core::AttackPolicy> = match i % 3 {
+            0 => Box::new(MyopicPolicy::new(Power::from_kilowatts(7.4))),
+            1 => Box::new(ForesightedPolicy::paper_default(14.0, seed)),
+            _ => Box::new(RandomPolicy::new(
+                0.08,
+                config.attack_load,
+                config.slot,
+                seed,
+            )),
+        };
+        let mut sim = Simulation::new(config, policy, seed);
+        sim.warmup(warmup);
+        sims.push(sim);
+    }
+    sims
+}
+
+#[test]
+fn ragged_batch_matches_sequential_slot_for_slot() {
+    // Not a multiple of the window block: the first batch hands its lanes
+    // back mid-block and a second batch picks them up.
+    const FIRST: u64 = 1000;
+    const SLOTS: u64 = 1500;
+    let reference: Vec<(SimReport, Vec<SlotRecord>)> = ragged_scenarios()
+        .into_iter()
+        .map(|mut sim| sim.run_recorded(SLOTS))
+        .collect();
+
+    let check = |batch: &BatchSim, k: u64| {
+        for (i, (_, records)) in reference.iter().enumerate() {
+            let want = records[k as usize];
+            let got = batch.records()[i];
+            assert_eq!(got, want, "ragged lane {i} diverged at slot {k}");
+            assert_eq!(
+                got.benign_demand.as_watts().to_bits(),
+                want.benign_demand.as_watts().to_bits(),
+                "ragged lane {i} demand bits diverged at slot {k}"
+            );
+            assert_eq!(
+                got.inlet.as_celsius().to_bits(),
+                want.inlet.as_celsius().to_bits(),
+                "ragged lane {i} inlet bits diverged at slot {k}"
+            );
+        }
+    };
+    let mut batch = BatchSim::new(ragged_scenarios());
+    for k in 0..FIRST {
+        batch.step_all();
+        check(&batch, k);
+    }
+    let mut batch = BatchSim::new(batch.into_sims());
+    for k in FIRST..SLOTS {
+        batch.step_all();
+        check(&batch, k);
+    }
+    let reports = batch.take_reports();
+    for (i, (want, _)) in reference.iter().enumerate() {
+        assert_eq!(reports[i], want.clone(), "ragged lane {i} report diverged");
+    }
 }

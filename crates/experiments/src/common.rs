@@ -6,7 +6,7 @@ use std::io::Write as _;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-use hbm_core::{scenario, AttackPolicy, ColoConfig, Metrics, SimReport, Simulation};
+use hbm_core::{scenario, Metrics, SimReport, Simulation};
 
 /// Count of I/O failures (CSV, manifest, timings JSON) across the whole
 /// run; the driver exits nonzero when any write failed, so automation
@@ -221,25 +221,6 @@ pub fn heading(out: &mut Sink, title: &str) {
     out.line(format!("=== {title} ==="));
 }
 
-/// Builds and runs a simulation, warming up learning policies first.
-/// Thin wrapper over [`hbm_core::scenario::run_policy`] — the same code
-/// path `hbm-serve` executes, so served and CLI metrics stay identical.
-pub fn run_policy(
-    config: &ColoConfig,
-    policy: Box<dyn AttackPolicy>,
-    opts: &Options,
-    needs_warmup: bool,
-) -> SimReport {
-    scenario::run_policy(
-        config,
-        policy,
-        opts.seed,
-        opts.warmup_slots(),
-        opts.slots(),
-        needs_warmup,
-    )
-}
-
 /// Warms up the lanes of `sims` flagged `true` through the sharded batch
 /// engine and hands every simulation back in input order. Dropping the
 /// warm-up run's reports performs exactly the metric reset
@@ -271,7 +252,7 @@ pub fn warmup_sims_batch(sims: Vec<(Simulation, bool)>, warmup_slots: u64) -> Ve
 /// flagged `true` (learning policies) warm up together first via
 /// [`warmup_sims_batch`], then every lane runs the measured horizon in
 /// lockstep. Reports come back in input order, byte-identical to running
-/// each simulation alone through [`run_policy`] — this is the batched
+/// each simulation alone through [`scenario::run_policy`] — this is the batched
 /// counterpart the flat experiment sweeps ride.
 pub fn run_sims_batch(
     sims: Vec<(Simulation, bool)>,
@@ -280,15 +261,6 @@ pub fn run_sims_batch(
 ) -> Vec<SimReport> {
     let warmed = warmup_sims_batch(sims, warmup_slots);
     hbm_core::run_sharded(warmed, slots).reports
-}
-
-/// The canonical trio of repeated-attack policies at their default
-/// settings (shared with `hbm-serve` via [`hbm_core::scenario`]).
-pub fn default_policies(
-    config: &ColoConfig,
-    opts: &Options,
-) -> Vec<(String, Box<dyn AttackPolicy>, bool)> {
-    scenario::default_policies(config, opts.seed)
 }
 
 /// One-line metrics summary.

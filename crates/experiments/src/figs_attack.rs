@@ -333,7 +333,7 @@ fn run_degradation(opts: &Options, out: &mut Sink, config: &ColoConfig, name: &s
     let mut rows = Vec::new();
     let mut names = Vec::new();
     let mut lanes: Vec<(Simulation, bool)> = Vec::new();
-    for (pname, policy, warmup) in crate::common::default_policies(config, opts) {
+    for (pname, policy, warmup) in hbm_core::scenario::default_policies(config, opts.seed) {
         names.push(pname);
         lanes.push((Simulation::new(config.clone(), policy, opts.seed), warmup));
     }

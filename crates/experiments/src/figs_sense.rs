@@ -1,10 +1,10 @@
 //! Sensitivity figures: 11a and 12a–e.
 
-use hbm_core::{ColoConfig, ForesightedPolicy, MyopicPolicy};
+use hbm_core::{ColoConfig, ForesightedPolicy, MyopicPolicy, Simulation};
 use hbm_thermal::{CoolingSystem, ZoneModel};
 use hbm_units::{Energy, Power, Temperature};
 
-use crate::common::{heading, run_policy, write_csv, Options, Sink};
+use crate::common::{heading, run_sims_batch, write_csv, Options, Sink};
 use crate::outln;
 
 /// Fig. 11a: time for the inlet to exceed 32 °C vs cooling overload, for
@@ -56,58 +56,49 @@ pub fn fig11a(opts: &Options, out: &mut Sink) {
 
 /// Shared shape of the Fig. 12 sensitivity panels: sweep one knob, report
 /// annual emergency time for Myopic and Foresighted.
-fn sweep<K: std::fmt::Display + Copy + Send>(
+fn sweep<K: std::fmt::Display + Copy>(
     opts: &Options,
     out: &mut Sink,
     name: &str,
     knob_name: &str,
     values: &[K],
-    configure: impl Fn(K) -> ColoConfig + Sync,
+    configure: impl Fn(K) -> ColoConfig,
 ) {
     outln!(
         out,
         "  {knob_name:>14}   myopic emerg%   foresighted emerg%"
     );
-    // Each knob value is an independent pair of year-long simulations, and
-    // within a value the two policies are independent too — fan both levels
-    // out and emit the table in knob order afterwards.
-    let results = hbm_par::par_map(values.to_vec(), |v| {
-        let config = configure(v);
-        let reports = hbm_par::par_map(vec![false, true], |foresighted| {
-            if foresighted {
-                run_policy(
-                    &config,
-                    Box::new(ForesightedPolicy::new(
-                        14.0,
-                        config.capacity,
-                        config.battery.capacity,
-                        config.battery.max_charge_rate,
-                        config.attack_load,
-                        config.slot,
-                        opts.seed,
-                    )),
-                    opts,
-                    true,
-                )
-            } else {
-                run_policy(
-                    &config,
-                    Box::new(MyopicPolicy::with_attack(
-                        Power::from_kilowatts(7.4),
-                        config.attack_load,
-                        config.slot,
-                    )),
-                    opts,
-                    false,
-                )
-            }
-        });
-        let m = 100.0 * reports[0].metrics.emergency_fraction();
-        let f = 100.0 * reports[1].metrics.emergency_fraction();
-        (v, m, f)
-    });
+    // Every knob value × policy is an independent year-long run: one lane
+    // each of one sharded batch. Myopic lanes come first and foresighted
+    // lanes after, so contiguous shards tend to hold one policy kind and
+    // take that kind's devirtualized fast path.
+    let seed = opts.seed;
+    let mut lanes: Vec<(Simulation, bool)> = Vec::new();
+    let mut learners = Vec::new();
+    for config in values.iter().map(|&v| configure(v)) {
+        let myopic =
+            MyopicPolicy::with_attack(Power::from_kilowatts(7.4), config.attack_load, config.slot);
+        let foresighted = ForesightedPolicy::new(
+            14.0,
+            config.capacity,
+            config.battery.capacity,
+            config.battery.max_charge_rate,
+            config.attack_load,
+            config.slot,
+            seed,
+        );
+        lanes.push((
+            Simulation::new(config.clone(), Box::new(myopic), seed),
+            false,
+        ));
+        learners.push((Simulation::new(config, Box::new(foresighted), seed), true));
+    }
+    lanes.extend(learners);
+    let reports = run_sims_batch(lanes, opts.warmup_slots(), opts.slots());
     let mut rows = Vec::new();
-    for (v, m, f) in results {
+    for (j, v) in values.iter().enumerate() {
+        let m = 100.0 * reports[j].metrics.emergency_fraction();
+        let f = 100.0 * reports[values.len() + j].metrics.emergency_fraction();
         outln!(out, "  {v:>14}   {m:13.3}   {f:18.3}");
         rows.push(format!("{v},{m:.4},{f:.4}"));
     }
@@ -182,26 +173,22 @@ pub fn fig12d(opts: &Options, out: &mut Sink) {
 /// operator adds cooling headroom.
 pub fn fig12e(opts: &Options, out: &mut Sink) {
     heading(out, "Fig. 12e — battery needed vs extra cooling capacity");
-    // Baseline impact at defaults.
-    let baseline_config = ColoConfig::paper_default();
-    let baseline = run_policy(
-        &baseline_config,
-        Box::new(ForesightedPolicy::paper_default(14.0, opts.seed)),
-        opts,
+    // The baseline and every headroom × battery combination run as lanes
+    // of one sharded batch; the battery search then takes, per headroom,
+    // the first size that restores the target impact — the same answer a
+    // serial early-exit search gives.
+    const EXTRAS: [f64; 5] = [0.0, 0.025, 0.05, 0.075, 0.10];
+    const BATTERIES_KWH: [f64; 7] = [0.2, 0.3, 0.4, 0.6, 0.8, 1.0, 1.4];
+    let mut lanes: Vec<(Simulation, bool)> = vec![(
+        Simulation::new(
+            ColoConfig::paper_default(),
+            Box::new(ForesightedPolicy::paper_default(14.0, opts.seed)),
+            opts.seed,
+        ),
         true,
-    );
-    let target = baseline.metrics.emergency_fraction() * 0.8;
-    outln!(
-        out,
-        "  target impact: ≥{:.3} % emergency time (80 % of the no-headroom baseline)",
-        100.0 * target
-    );
-    // The five headroom settings search independently; the inner battery
-    // search stays serial because it early-exits at the first size that
-    // restores the target impact.
-    let results = hbm_par::par_map(vec![0.0, 0.025, 0.05, 0.075, 0.10], |extra| {
-        let mut needed = None;
-        for battery_kwh in [0.2, 0.3, 0.4, 0.6, 0.8, 1.0, 1.4] {
+    )];
+    for extra in EXTRAS {
+        for battery_kwh in BATTERIES_KWH {
             // More cooling headroom also calls for a bigger attack load:
             // scale it so the peak overload stays comparable.
             let config = ColoConfig::paper_default()
@@ -210,30 +197,32 @@ pub fn fig12e(opts: &Options, out: &mut Sink) {
                 .with_battery_capacity(Energy::from_kilowatt_hours(battery_kwh));
             // The attacker calibrates against the *cooling* capacity here —
             // with headroom installed, that is what must be overloaded.
-            let report = run_policy(
-                &config,
-                Box::new(ForesightedPolicy::new(
-                    14.0,
-                    config.cooling.capacity,
-                    config.battery.capacity,
-                    config.battery.max_charge_rate,
-                    config.attack_load,
-                    config.slot,
-                    opts.seed,
-                )),
-                opts,
-                true,
+            let policy = ForesightedPolicy::new(
+                14.0,
+                config.cooling.capacity,
+                config.battery.capacity,
+                config.battery.max_charge_rate,
+                config.attack_load,
+                config.slot,
+                opts.seed,
             );
-            if report.metrics.emergency_fraction() >= target {
-                needed = Some(battery_kwh);
-                break;
-            }
+            lanes.push((Simulation::new(config, Box::new(policy), opts.seed), true));
         }
-        (extra, needed)
-    });
+    }
+    let reports = run_sims_batch(lanes, opts.warmup_slots(), opts.slots());
+    let target = reports[0].metrics.emergency_fraction() * 0.8;
+    outln!(
+        out,
+        "  target impact: ≥{:.3} % emergency time (80 % of the no-headroom baseline)",
+        100.0 * target
+    );
     let mut rows = Vec::new();
-    for (extra, needed) in results {
-        match needed {
+    for (&extra, row) in EXTRAS.iter().zip(reports[1..].chunks(BATTERIES_KWH.len())) {
+        let needed = BATTERIES_KWH
+            .iter()
+            .zip(row)
+            .find(|(_, r)| r.metrics.emergency_fraction() >= target);
+        match needed.map(|(&kwh, _)| kwh) {
             Some(kwh) => {
                 outln!(
                     out,

@@ -109,6 +109,49 @@ fn usage() {
     }
 }
 
+/// A subcommand that is not an experiment id: its name, the harness-wide
+/// flags it rejects, its usage printer and its runner. The shared option
+/// parser accepts `--out`, `--jobs`, `--trace` and `--timings[-json]` for
+/// every command line, but a subcommand that writes no CSVs, runs one lane
+/// or records no spans would silently ignore them — so it fails loudly
+/// (exit 2 with its usage) instead. A runner error also exits 2 with usage.
+struct Subcommand {
+    name: &'static str,
+    rejects: &'static [&'static str],
+    usage: fn(),
+    run: fn(&Options, &[String]) -> Result<(), String>,
+}
+
+const HARNESS_FLAGS: &[&str] = &["--out", "--jobs", "--trace", "--timings", "--timings-json"];
+
+const SUBCOMMANDS: &[Subcommand] = &[
+    Subcommand {
+        name: "simulate",
+        rejects: HARNESS_FLAGS,
+        usage,
+        run: run_simulate,
+    },
+    Subcommand {
+        name: "whatif",
+        rejects: HARNESS_FLAGS,
+        usage: || eprintln!("{}", whatif::USAGE),
+        run: whatif::run_whatif,
+    },
+    // Surrogate fits record spans, so the timing flags are honored.
+    Subcommand {
+        name: "surrogate",
+        rejects: &["--out", "--jobs", "--trace"],
+        usage: || eprintln!("{}", surrogate_cmd::USAGE),
+        run: run_surrogate,
+    },
+    Subcommand {
+        name: "client",
+        rejects: &[],
+        usage: || eprintln!("{}", client::USAGE),
+        run: client::run_client,
+    },
+];
+
 /// `experiments simulate ...`: one declarative scenario, one flat-JSON
 /// metrics line on stdout. The scenario is built, keyed, run, and
 /// serialized by [`hbm_core::scenario`] — exactly the code path behind
@@ -150,6 +193,43 @@ fn run_simulate(opts: &Options, args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
+/// `experiments surrogate ...` with its kernel timing report when
+/// `--timings` is set.
+fn run_surrogate(opts: &Options, args: &[String]) -> Result<(), String> {
+    if opts.timings {
+        hbm_telemetry::timing::set_timings_enabled(true);
+        for span in ["surrogate.fit", "surrogate.predict", "heat_matrix.extract"] {
+            hbm_telemetry::timing::declare_span(span);
+        }
+    }
+    surrogate_cmd::run_surrogate(opts, args)?;
+    if let Err(e) = print_timing_report(opts) {
+        eprintln!("error: {e}");
+        std::process::exit(1);
+    }
+    Ok(())
+}
+
+/// With `--timings`, prints the kernel timing report and writes it to
+/// `--timings-json FILE` if given.
+fn print_timing_report(opts: &Options) -> Result<(), String> {
+    if !opts.timings {
+        return Ok(());
+    }
+    println!("\n=== kernel timing report ===");
+    println!("{}", hbm_telemetry::timing::render_timing_report());
+    if let Some(path) = &opts.timings_json {
+        let json = hbm_telemetry::timing::timing_report_bench_json();
+        if let Some(parent) = path.parent().filter(|p| !p.as_os_str().is_empty()) {
+            let _ = std::fs::create_dir_all(parent);
+        }
+        std::fs::write(path, json + "\n")
+            .map_err(|e| format!("cannot write {}: {e}", path.display()))?;
+        println!("  [json] {}", path.display());
+    }
+    Ok(())
+}
+
 fn main() {
     let raw: Vec<String> = std::env::args().skip(1).collect();
     let (opts, ids) = match Options::parse(&raw) {
@@ -164,84 +244,15 @@ fn main() {
         usage();
         std::process::exit(2);
     }
-    if ids[0] == "simulate" {
-        // Same contract as whatif: simulate prints one JSON report to
-        // stdout — it writes no CSVs, runs a single lane, and records no
-        // spans, so silently accepting the harness-wide flags would look
-        // like they worked. Fail loudly instead.
-        const UNSUPPORTED: &[&str] = &["--out", "--jobs", "--trace", "--timings", "--timings-json"];
-        if let Some(flag) = raw.iter().find(|a| UNSUPPORTED.contains(&a.as_str())) {
-            eprintln!("error: simulate does not support {flag}");
-            usage();
+    if let Some(cmd) = SUBCOMMANDS.iter().find(|c| c.name == ids[0]) {
+        if let Some(flag) = raw.iter().find(|a| cmd.rejects.contains(&a.as_str())) {
+            eprintln!("error: {} does not support {flag}", cmd.name);
+            (cmd.usage)();
             std::process::exit(2);
         }
-        if let Err(e) = run_simulate(&opts, &ids[1..]) {
+        if let Err(e) = (cmd.run)(&opts, &ids[1..]) {
             eprintln!("error: {e}");
-            usage();
-            std::process::exit(2);
-        }
-        return;
-    }
-    if ids[0] == "whatif" {
-        // The shared option parser consumes the harness-wide output and
-        // parallelism flags, but whatif writes no CSVs, runs serially,
-        // and records no spans — silently accepting these would look
-        // like they worked. Fail loudly instead (the convention since
-        // output I/O errors became fatal).
-        const UNSUPPORTED: &[&str] = &["--out", "--jobs", "--trace", "--timings", "--timings-json"];
-        if let Some(flag) = raw.iter().find(|a| UNSUPPORTED.contains(&a.as_str())) {
-            eprintln!("error: whatif does not support {flag}");
-            eprintln!("{}", whatif::USAGE);
-            std::process::exit(2);
-        }
-        if let Err(e) = whatif::run_whatif(&opts, &ids[1..]) {
-            eprintln!("error: {e}");
-            eprintln!("{}", whatif::USAGE);
-            std::process::exit(2);
-        }
-        return;
-    }
-    if ids[0] == "surrogate" {
-        // Same contract as whatif for flags the subcommand ignores;
-        // --timings/--timings-json are honored (fits record spans).
-        const UNSUPPORTED: &[&str] = &["--out", "--jobs", "--trace"];
-        if let Some(flag) = raw.iter().find(|a| UNSUPPORTED.contains(&a.as_str())) {
-            eprintln!("error: surrogate does not support {flag}");
-            eprintln!("{}", surrogate_cmd::USAGE);
-            std::process::exit(2);
-        }
-        if opts.timings {
-            hbm_telemetry::timing::set_timings_enabled(true);
-            for span in ["surrogate.fit", "surrogate.predict", "heat_matrix.extract"] {
-                hbm_telemetry::timing::declare_span(span);
-            }
-        }
-        if let Err(e) = surrogate_cmd::run_surrogate(&opts, &ids[1..]) {
-            eprintln!("error: {e}");
-            eprintln!("{}", surrogate_cmd::USAGE);
-            std::process::exit(2);
-        }
-        if opts.timings {
-            println!("\n=== kernel timing report ===");
-            println!("{}", hbm_telemetry::timing::render_timing_report());
-            if let Some(path) = &opts.timings_json {
-                let json = hbm_telemetry::timing::timing_report_bench_json();
-                if let Some(parent) = path.parent().filter(|p| !p.as_os_str().is_empty()) {
-                    let _ = std::fs::create_dir_all(parent);
-                }
-                if let Err(e) = std::fs::write(path, json + "\n") {
-                    eprintln!("error: cannot write {}: {e}", path.display());
-                    std::process::exit(1);
-                }
-                println!("  [json] {}", path.display());
-            }
-        }
-        return;
-    }
-    if ids[0] == "client" {
-        if let Err(e) = client::run_client(&opts, &ids[1..]) {
-            eprintln!("error: {e}");
-            eprintln!("{}", client::USAGE);
+            (cmd.usage)();
             std::process::exit(2);
         }
         return;
@@ -305,22 +316,9 @@ fn main() {
             sink.flush_to_stdout();
         }
     }
-    if opts.timings {
-        println!("\n=== kernel timing report ===");
-        println!("{}", hbm_telemetry::timing::render_timing_report());
-        if let Some(path) = &opts.timings_json {
-            let json = hbm_telemetry::timing::timing_report_bench_json();
-            if let Some(parent) = path.parent().filter(|p| !p.as_os_str().is_empty()) {
-                let _ = std::fs::create_dir_all(parent);
-            }
-            match std::fs::write(path, json + "\n") {
-                Ok(()) => println!("  [json] {}", path.display()),
-                Err(e) => {
-                    common::IO_ERRORS.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                    eprintln!("error: cannot write {}: {e}", path.display());
-                }
-            }
-        }
+    if let Err(e) = print_timing_report(&opts) {
+        common::IO_ERRORS.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+        eprintln!("error: {e}");
     }
     write_manifest(&opts, &ids, start.elapsed().as_millis() as u64);
     eprintln!(

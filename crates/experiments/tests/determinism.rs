@@ -21,10 +21,11 @@ fn read_csvs(dir: &Path) -> BTreeMap<String, Vec<u8>> {
 
 fn run(jobs: usize, out_dir: &Path) {
     let status = Command::new(env!("CARGO_BIN_EXE_experiments"))
-        // fig9 exercises the parallel multi-policy sweep, fig11a and
-        // fig14b are cheap analytic figures mixed in so the driver-level
-        // fan-out across experiments is exercised too.
-        .args(["fig9", "fig11a", "fig14b"])
+        // fig9, fig12a and fig12e exercise the sharded batch sweeps (fig12e
+        // also its first-battery-size-that-works search), fig11a and fig14b
+        // are cheap analytic figures mixed in so the fan-out across
+        // experiments is exercised too.
+        .args(["fig9", "fig11a", "fig12a", "fig12e", "fig14b"])
         .args(["--days", "1", "--warmup-days", "0", "--seed", "42"])
         .arg("--out")
         .arg(out_dir)

@@ -553,7 +553,10 @@ mod tests {
             let mut copy = BatchQLearning::new(4, 3, 4, 0.9);
             lanes.sync_into(lane, &mut copy).expect("shapes match");
             let bits = |xs: &[f64]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-            assert_eq!(bits(copy.q_table().values()), bits(scalar.q_table().values()));
+            assert_eq!(
+                bits(copy.q_table().values()),
+                bits(scalar.q_table().values())
+            );
             assert_eq!(copy.q_table().visits(), scalar.q_table().visits());
             assert_eq!(bits(copy.post_values()), bits(scalar.post_values()));
         }
@@ -596,8 +599,8 @@ mod tests {
             (0..2).map(|_| DoubleQLearning::new(3, 2, 0.9)).collect();
         let refs: Vec<&DoubleQLearning> = scalars.iter().collect();
         let mut lanes = DoubleLanes::from_agents(&refs).expect("uniform shapes pack");
-        let mut scalar_rngs: Vec<StdRng> = (0..2).map(|i| StdRng::seed_from_u64(i)).collect();
-        let mut lane_rngs: Vec<StdRng> = (0..2).map(|i| StdRng::seed_from_u64(i)).collect();
+        let mut scalar_rngs: Vec<StdRng> = (0..2).map(StdRng::seed_from_u64).collect();
+        let mut lane_rngs: Vec<StdRng> = (0..2).map(StdRng::seed_from_u64).collect();
         let mut env = StdRng::seed_from_u64(42);
         for step in 0..200 {
             let s = step % 3;
@@ -610,15 +613,30 @@ mod tests {
                 );
                 let a = scalar.select_greedy(s, &[0, 1]);
                 scalar.update(s, a, reward, s_next, &[0, 1], 0.2, &mut scalar_rngs[lane]);
-                lanes.update(lane, s, a, reward, s_next, &[0, 1], 0.2, &mut lane_rngs[lane]);
+                lanes.update(
+                    lane,
+                    s,
+                    a,
+                    reward,
+                    s_next,
+                    &[0, 1],
+                    0.2,
+                    &mut lane_rngs[lane],
+                );
             }
         }
         for (lane, scalar) in scalars.iter().enumerate() {
             let mut copy = DoubleQLearning::new(3, 2, 0.9);
             lanes.sync_into(lane, &mut copy).expect("shapes match");
             let bits = |xs: &[f64]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-            assert_eq!(bits(copy.table_a().values()), bits(scalar.table_a().values()));
-            assert_eq!(bits(copy.table_b().values()), bits(scalar.table_b().values()));
+            assert_eq!(
+                bits(copy.table_a().values()),
+                bits(scalar.table_a().values())
+            );
+            assert_eq!(
+                bits(copy.table_b().values()),
+                bits(scalar.table_b().values())
+            );
         }
     }
 

@@ -448,12 +448,10 @@ impl Supervisor {
             return Err((410, format!("experiment {id:?} was deleted")));
         }
         let effective = perturbation.apply(&state.scenario);
-        // Perturbations cannot change the seed, so the rebuilt simulator
-        // shares the live one's workload trace unless the perturbation
-        // changed the workload itself — no trace regeneration on this path.
-        let (mut sim, _) = effective
-            .build_sim_sharing_trace(&state.sim, state.scenario.seed)
-            .map_err(|e| (400, e))?;
+        // Perturbations cannot change the seed, so unless one changes the
+        // workload itself the rebuild gets the live simulator's shared
+        // trace back — no trace regeneration on this path.
+        let (mut sim, _) = effective.build_sim().map_err(|e| (400, e))?;
         sim.restore(&state.sim.snapshot())
             .map_err(|e| (500, format!("state transplant failed: {e}")))?;
         state.sim = sim;

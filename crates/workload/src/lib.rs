@@ -11,6 +11,8 @@
 //!   weekly seasonality, autocorrelated noise, and load bursts
 //!   ([`TraceShape::FacebookBaidu`]), or a flatter, spikier cluster profile
 //!   ([`TraceShape::Google`]).
+//!   [`generate_shared`] hands every caller with an equal config one shared
+//!   copy while any is alive.
 //! * [`latency`] models the 95th-percentile response time of an interactive
 //!   service as a function of the power cap and offered load, calibrated to
 //!   the paper's anchor (≈4× latency at a 60 % power cap — Fig. 14b/15).
@@ -40,9 +42,11 @@
 mod io;
 pub mod latency;
 pub mod queue;
+mod shared;
 mod trace;
 
 pub use io::ParseTraceError;
+pub use shared::generate_shared;
 pub use trace::{generate, PowerTrace, TraceConfig, TraceShape};
 
 /// Crate-internal percentile (linear interpolation between closest ranks).
