@@ -5,7 +5,7 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 
-use hbm_rl::{BatchQLearning, QLearning};
+use hbm_rl::{BatchQLearning, QLearning, TdStep};
 
 const STATES: usize = 10 * 16 * 4; // battery × load × temperature bins
 const ACTIONS: usize = 3;
@@ -37,7 +37,13 @@ fn qlearning(c: &mut Criterion) {
         b.iter(|| {
             let a = s % ACTIONS;
             let s_next = (s + 31) % STATES;
-            agent.update(black_box(s), a, 1.0, s_next, &allowed, post, 0.05);
+            let step = TdStep {
+                s: black_box(s),
+                a,
+                reward: 1.0,
+                s_next,
+            };
+            agent.update(step, &allowed, post, 0.05);
             s = s_next;
         });
     });
@@ -48,7 +54,13 @@ fn qlearning(c: &mut Criterion) {
         b.iter(|| {
             let a = s % ACTIONS;
             let s_next = (s + 31) % STATES;
-            agent.update(black_box(s), a, 1.0, s_next, &allowed, 0.05);
+            let step = TdStep {
+                s: black_box(s),
+                a,
+                reward: 1.0,
+                s_next,
+            };
+            agent.update(step, &allowed, 0.05);
             s = s_next;
         });
     });

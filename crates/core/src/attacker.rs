@@ -3,13 +3,12 @@
 
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
-use serde::{Deserialize, Serialize};
 
-use hbm_rl::{BatchQLearning, EpsilonSchedule, LearningRate, QLearning, UniformGrid};
+use hbm_rl::{BatchQLearning, EpsilonSchedule, LearningRate, QLearning, TdStep, UniformGrid};
 use hbm_units::{Duration, Energy, Power, Temperature};
 
 /// What the attacker does in one slot (Section IV-A).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum AttackAction {
     /// Recharge the built-in batteries from the PDU.
     Charge,
@@ -51,7 +50,7 @@ impl std::fmt::Display for AttackAction {
 }
 
 /// What the attacker can observe at the start of a slot.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Observation {
     /// Slot index since simulation start.
     pub slot: u64,
@@ -71,7 +70,7 @@ pub struct Observation {
 }
 
 /// One completed slot, fed back to learning policies.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Transition {
     /// The observation the decision was made on.
     pub observation: Observation,
@@ -135,7 +134,7 @@ pub trait AttackPolicy: std::any::Any + Send {
 }
 
 /// Whether the battery can sustain one full slot of attacking.
-pub(crate) fn can_attack(stored: Energy, attack_load: Power, slot: Duration) -> bool {
+fn can_attack(stored: Energy, attack_load: Power, slot: Duration) -> bool {
     stored >= attack_load * slot * 0.999
 }
 
@@ -220,7 +219,7 @@ impl AttackPolicy for RandomPolicy {
 /// **Myopic**: attacks greedily whenever the estimated load is above a
 /// threshold and the battery has energy, with no regard for the future
 /// (Section VI's greedy baseline).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MyopicPolicy {
     threshold: Power,
     attack_load: Power,
@@ -252,10 +251,9 @@ impl MyopicPolicy {
         self.threshold
     }
 
-    /// The minimum stored energy at which the attack arms, computed with
-    /// the exact arithmetic [`decide`](AttackPolicy::decide) uses. Batch
-    /// engines precompute this per lane so a fleet of myopic attackers can
-    /// be decided without going through the trait object.
+    /// The minimum stored energy at which the attack arms. Batch engines
+    /// precompute this per lane so a fleet of myopic attackers can be
+    /// decided without going through the trait object.
     pub fn arm_energy(&self) -> Energy {
         self.attack_load * self.slot * 0.999
     }
@@ -283,18 +281,38 @@ impl AttackPolicy for MyopicPolicy {
     }
 
     fn decide(&mut self, obs: &Observation) -> AttackAction {
-        if obs.capping {
-            return AttackAction::Standby;
-        }
-        if obs.estimated_total >= self.threshold
-            && can_attack(obs.battery_stored, self.attack_load, self.slot)
-        {
-            AttackAction::Attack
-        } else if obs.battery_soc < 1.0 {
-            AttackAction::Charge
-        } else {
-            AttackAction::Standby
-        }
+        myopic_action(
+            obs.capping,
+            obs.estimated_total,
+            self.threshold,
+            obs.battery_stored,
+            self.arm_energy(),
+            obs.battery_soc,
+        )
+    }
+}
+
+/// The myopic rule: comply while capped, attack when the estimated load
+/// reaches `threshold` and the battery holds `arm` (one slot of attack
+/// energy), otherwise top the battery up. Generic over the load and energy
+/// representations so the batch engine can run it on its raw-unit columns.
+#[inline]
+pub(crate) fn myopic_action<L: PartialOrd, E: PartialOrd>(
+    capping: bool,
+    estimated: L,
+    threshold: L,
+    stored: E,
+    arm: E,
+    soc: f64,
+) -> AttackAction {
+    if capping {
+        AttackAction::Standby
+    } else if estimated >= threshold && stored >= arm {
+        AttackAction::Attack
+    } else if soc < 1.0 {
+        AttackAction::Charge
+    } else {
+        AttackAction::Standby
     }
 }
 
@@ -304,7 +322,7 @@ impl AttackPolicy for MyopicPolicy {
 /// policies it keeps its *actual* load at peak straight through the
 /// operator's capping — the metered draw complies, the battery-fed heat
 /// does not.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct OneShotPolicy {
     threshold: Power,
     triggered: bool,
@@ -397,22 +415,13 @@ impl Learner {
         }
     }
 
-    #[allow(clippy::too_many_arguments)]
-    fn update<F>(
-        &mut self,
-        s: usize,
-        a: usize,
-        reward: f64,
-        s_next: usize,
-        allowed_next: &[usize],
-        post: F,
-        delta: f64,
-    ) where
+    fn update<F>(&mut self, step: TdStep, allowed_next: &[usize], post: F, delta: f64)
+    where
         F: Fn(usize, usize) -> usize,
     {
         match self {
-            Learner::Batch(agent) => agent.update(s, a, reward, s_next, allowed_next, post, delta),
-            Learner::Standard(agent) => agent.update(s, a, reward, s_next, allowed_next, delta),
+            Learner::Batch(agent) => agent.update(step, allowed_next, post, delta),
+            Learner::Standard(agent) => agent.update(step, allowed_next, delta),
         }
     }
 }
@@ -437,16 +446,28 @@ impl Learner {
 #[derive(Debug, Clone)]
 pub struct ForesightedPolicy {
     agent: Learner,
+    params: ForesightedParams,
+    rng: StdRng,
+    /// Attack-campaign execution state; see [`Campaign`].
+    campaign: Campaign,
+}
+
+/// The fixed parameters of a [`ForesightedPolicy`] — everything its
+/// decision and learning rules read besides the learner tables, the RNG
+/// and the campaign. The batch engine keeps one per lane and runs the same
+/// [`decide`](ForesightedParams::decide) / [`learn`](ForesightedParams::learn)
+/// rules against its packed tables.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct ForesightedParams {
     battery_grid: UniformGrid,
     load_grid: UniformGrid,
     temp_grid: UniformGrid,
     w: f64,
     setpoint: Temperature,
-    learning_rate: LearningRate,
-    epsilon: EpsilonSchedule,
-    rng: StdRng,
+    pub(crate) learning_rate: LearningRate,
+    pub(crate) epsilon: EpsilonSchedule,
     attack_load: Power,
-    slot: Duration,
+    pub(crate) slot: Duration,
     /// Colocation capacity (known to every tenant from its contract).
     capacity: Power,
     /// State-of-charge delta of one slot of charging / attacking, used by
@@ -462,8 +483,6 @@ pub struct ForesightedPolicy {
     /// Minimum state of charge required to *launch* an attack (continuing
     /// a committed one is exempt). See `allowed_for_soc`.
     min_launch_soc: f64,
-    /// Attack-campaign execution state; see [`Campaign`].
-    campaign: Campaign,
 }
 
 /// Execution state of a sustained attack campaign (the cycle the paper's
@@ -536,14 +555,7 @@ impl ForesightedPolicy {
             Self::LOAD_BINS,
         );
         let temp_grid = UniformGrid::new(0.0, 6.0, Self::TEMP_BINS);
-        let states = battery_grid.len() * load_grid.len() * temp_grid.len();
-        ForesightedPolicy {
-            agent: Learner::Batch(BatchQLearning::new(
-                states,
-                AttackAction::COUNT,
-                states,
-                0.99,
-            )),
+        let params = ForesightedParams {
             battery_grid,
             load_grid,
             temp_grid,
@@ -557,7 +569,6 @@ impl ForesightedPolicy {
                 decay: 0.90,
                 floor: 0.002,
             },
-            rng: StdRng::seed_from_u64(seed),
             attack_load,
             slot,
             capacity,
@@ -570,6 +581,17 @@ impl ForesightedPolicy {
             // policy attacks drops as the reward weight w grows (≈60 % at
             // w = 9, ≈40 % at w = 14). Encode that dependence directly.
             min_launch_soc: (0.9 - 0.02 * w).clamp(0.55, 0.9),
+        };
+        let states = params.states();
+        ForesightedPolicy {
+            agent: Learner::Batch(BatchQLearning::new(
+                states,
+                AttackAction::COUNT,
+                states,
+                0.99,
+            )),
+            params,
+            rng: StdRng::seed_from_u64(seed),
             campaign: Campaign::Idle,
         }
     }
@@ -590,7 +612,7 @@ impl ForesightedPolicy {
     /// Replaces the learning rule with classic Q-learning (the ablation
     /// baseline of the paper's batch variant); tables restart from zero.
     pub fn with_standard_q(mut self) -> Self {
-        let states = self.battery_grid.len() * self.load_grid.len() * self.temp_grid.len();
+        let states = self.params.states();
         self.agent = Learner::Standard(QLearning::new(states, AttackAction::COUNT, 0.99));
         self
     }
@@ -602,20 +624,20 @@ impl ForesightedPolicy {
 
     /// The reward weight `w`.
     pub fn weight(&self) -> f64 {
-        self.w
+        self.params.w
     }
 
     /// Freezes (or re-enables) learning and exploration — used to evaluate
     /// a converged policy.
     pub fn set_learning(&mut self, enabled: bool) {
-        self.learning_enabled = enabled;
+        self.params.learning_enabled = enabled;
     }
 
     /// Reconfigures the bootstrap teacher (threshold and how many days it
     /// guides exploration). Setting `days` to 0 disables it.
     pub fn set_teacher(&mut self, threshold: Power, days: u64) {
-        self.teacher_threshold = threshold;
-        self.teacher_days = days;
+        self.params.teacher_threshold = threshold;
+        self.params.teacher_days = days;
     }
 
     /// Sets the minimum state of charge required to launch an attack.
@@ -625,7 +647,140 @@ impl ForesightedPolicy {
     /// Panics if `soc` is outside `[0, 1]`.
     pub fn set_min_launch_soc(&mut self, soc: f64) {
         assert!((0.0..=1.0).contains(&soc), "SoC must be in [0, 1]");
-        self.min_launch_soc = soc;
+        self.params.min_launch_soc = soc;
+    }
+
+    /// The greedy action for every `(battery bin, load bin)` cell at the
+    /// normal room temperature — the structure plot of Fig. 10 (the
+    /// decision whether to *start* an attack). Rows are battery bins
+    /// (low→high), columns load bins (low→high).
+    pub fn policy_matrix(&self) -> Vec<Vec<AttackAction>> {
+        let p = &self.params;
+        (0..p.battery_grid.len())
+            .map(|b| {
+                let soc = p.battery_grid.center(b);
+                (0..p.load_grid.len())
+                    .map(|u| {
+                        // Temperature bin 0: inlet at the setpoint.
+                        let s = (b * p.load_grid.len() + u) * p.temp_grid.len();
+                        // Attack is feasible whenever the bin's SoC covers
+                        // one slot; mirror `allowed_for_soc`.
+                        let stored_ok = soc >= p.attack_soc_per_slot;
+                        let allowed = p.allowed_for_soc(soc, stored_ok);
+                        let a = self
+                            .agent
+                            .select_greedy(s, &allowed, |s, a| p.post_state(s, a));
+                        AttackAction::from_index(a)
+                    })
+                    .collect()
+            })
+            .collect()
+    }
+
+    /// Per-action `(Q, V(post), Q + γ·V(post))` at the state holding the
+    /// given continuous coordinates — diagnostic view of the learnt tables.
+    pub fn cell_values(
+        &self,
+        soc: f64,
+        estimated_total: Power,
+        inlet: Temperature,
+    ) -> Vec<(AttackAction, f64, f64, f64)> {
+        let s = self.params.state_of(soc, estimated_total, inlet);
+        (0..AttackAction::COUNT)
+            .map(|a| match &self.agent {
+                Learner::Batch(agent) => {
+                    let q = agent.q_table().get(s, a);
+                    let v = agent.post_values()[self.params.post_state(s, a)];
+                    (AttackAction::from_index(a), q, v, q + agent.gamma() * v)
+                }
+                Learner::Standard(agent) => {
+                    let q = agent.table().get(s, a);
+                    (AttackAction::from_index(a), q, 0.0, q)
+                }
+            })
+            .collect()
+    }
+
+    /// Mutable access to the learning rule (checkpoint restore of the Q
+    /// tables).
+    pub(crate) fn learner_mut(&mut self) -> &mut Learner {
+        &mut self.agent
+    }
+
+    /// RNG state words for checkpoint serialization.
+    pub(crate) fn rng_state(&self) -> [u64; 4] {
+        self.rng.state()
+    }
+
+    /// Overwrites the exploration RNG from checkpointed state words.
+    pub(crate) fn restore_rng(&mut self, state: [u64; 4]) {
+        self.rng = StdRng::from_state(state);
+    }
+
+    /// Whether learning and exploration are enabled.
+    pub(crate) fn learning_enabled(&self) -> bool {
+        self.params.learning_enabled
+    }
+
+    /// The campaign state as `(code, launch-estimate watts)`:
+    /// 0 = idle, 1 = attacking, 2 = recharging (checkpoint serialization).
+    pub(crate) fn campaign_code(&self) -> (u64, f64) {
+        match self.campaign {
+            Campaign::Idle => (0, 0.0),
+            Campaign::Attacking { launch_est } => (1, launch_est.as_watts()),
+            Campaign::Recharging { launch_est } => (2, launch_est.as_watts()),
+        }
+    }
+
+    /// Overwrites the campaign state from its checkpointed
+    /// `(code, launch-estimate watts)` form.
+    pub(crate) fn restore_campaign(&mut self, code: u64, launch_watts: f64) -> Result<(), String> {
+        self.campaign = match code {
+            0 => Campaign::Idle,
+            1 => Campaign::Attacking {
+                launch_est: Power::from_watts(launch_watts),
+            },
+            2 => Campaign::Recharging {
+                launch_est: Power::from_watts(launch_watts),
+            },
+            other => return Err(format!("invalid campaign code {other}")),
+        };
+        Ok(())
+    }
+
+    /// The fixed parameters (batch-engine lane packing).
+    pub(crate) fn params(&self) -> &ForesightedParams {
+        &self.params
+    }
+
+    /// The current campaign execution state (batch-engine lane packing).
+    pub(crate) fn campaign(&self) -> Campaign {
+        self.campaign
+    }
+
+    /// Overwrites the campaign execution state (batch-engine lane
+    /// sync-back when a devirtualized fleet hands its lanes back).
+    pub(crate) fn set_campaign(&mut self, campaign: Campaign) {
+        self.campaign = campaign;
+    }
+
+    /// The load-bin centers of the policy matrix columns, in kW.
+    pub fn load_bin_centers_kw(&self) -> Vec<f64> {
+        let grid = self.params.load_grid;
+        (0..grid.len()).map(|u| grid.center(u)).collect()
+    }
+
+    /// The battery-bin centers of the policy matrix rows (state of charge).
+    pub fn battery_bin_centers(&self) -> Vec<f64> {
+        let grid = self.params.battery_grid;
+        (0..grid.len()).map(|b| grid.center(b)).collect()
+    }
+}
+
+impl ForesightedParams {
+    /// Size of the joint (battery, load, temperature) state space.
+    fn states(&self) -> usize {
+        self.battery_grid.len() * self.load_grid.len() * self.temp_grid.len()
     }
 
     fn state_of(&self, soc: f64, estimated_total: Power, inlet: Temperature) -> usize {
@@ -666,8 +821,19 @@ impl ForesightedPolicy {
 
     /// The deterministic post-state map `f(s, a)` (Eqn. 4): only the battery
     /// coordinate moves; the load and temperature coordinates stay.
-    fn post_state(&self, s: usize, a: usize) -> usize {
-        post_state_for(self, s, a)
+    pub(crate) fn post_state(&self, s: usize, a: usize) -> usize {
+        let (load_bins, temp_bins) = (self.load_grid.len(), self.temp_grid.len());
+        let t = s % temp_bins;
+        let bu = s / temp_bins;
+        let b = bu / load_bins;
+        let u = bu % load_bins;
+        let soc = self.battery_grid.center(b);
+        let soc_next = match AttackAction::from_index(a) {
+            AttackAction::Charge => (soc + self.charge_soc_per_slot).min(1.0),
+            AttackAction::Attack => (soc - self.attack_soc_per_slot).max(0.0),
+            AttackAction::Standby => soc,
+        };
+        (self.battery_grid.index(soc_next) * load_bins + u) * temp_bins + t
     }
 
     /// Eqn. 2 reward.
@@ -681,249 +847,31 @@ impl ForesightedPolicy {
         self.w * dt - beta
     }
 
-    /// The greedy action for every `(battery bin, load bin)` cell at the
-    /// normal room temperature — the structure plot of Fig. 10 (the
-    /// decision whether to *start* an attack). Rows are battery bins
-    /// (low→high), columns load bins (low→high).
-    pub fn policy_matrix(&self) -> Vec<Vec<AttackAction>> {
-        (0..self.battery_grid.len())
-            .map(|b| {
-                let soc = self.battery_grid.center(b);
-                (0..self.load_grid.len())
-                    .map(|u| {
-                        // Temperature bin 0: inlet at the setpoint.
-                        let s = (b * self.load_grid.len() + u) * self.temp_grid.len();
-                        // Attack is feasible whenever the bin's SoC covers
-                        // one slot; mirror `allowed_for_soc`.
-                        let stored_ok = soc >= self.attack_soc_per_slot;
-                        let allowed = self.allowed_for_soc(soc, stored_ok);
-                        let a = self
-                            .agent
-                            .select_greedy(s, &allowed, |s, a| self.post_state(s, a));
-                        AttackAction::from_index(a)
-                    })
-                    .collect()
-            })
-            .collect()
-    }
-
-    /// Per-action `(Q, V(post), Q + γ·V(post))` at the state holding the
-    /// given continuous coordinates — diagnostic view of the learnt tables.
-    pub fn cell_values(
+    /// The foresighted decision rule for one attacker: campaign execution,
+    /// then the bootstrap teacher, then ε-greedy over the learnt tables.
+    ///
+    /// `epsilon` maps the decision day to the exploration rate and is only
+    /// called while learning; `greedy(s, allowed)` returns the learnt best
+    /// action in state `s`. The scalar policy passes its own schedule and
+    /// learner; the batch engine passes its swept column and packed lane.
+    #[inline]
+    pub(crate) fn decide<E, G>(
         &self,
-        soc: f64,
-        estimated_total: Power,
-        inlet: Temperature,
-    ) -> Vec<(AttackAction, f64, f64, f64)> {
-        let s = self.state_of(soc, estimated_total, inlet);
-        (0..AttackAction::COUNT)
-            .map(|a| match &self.agent {
-                Learner::Batch(agent) => {
-                    let q = agent.q_table().get(s, a);
-                    let v = agent.post_values()[self.post_state(s, a)];
-                    (AttackAction::from_index(a), q, v, q + agent.gamma() * v)
-                }
-                Learner::Standard(agent) => {
-                    let q = agent.table().get(s, a);
-                    (AttackAction::from_index(a), q, 0.0, q)
-                }
-            })
-            .collect()
-    }
-
-    /// Mutable access to the learning rule (checkpoint restore of the Q
-    /// tables).
-    pub(crate) fn learner_mut(&mut self) -> &mut Learner {
-        &mut self.agent
-    }
-
-    /// RNG state words for checkpoint serialization.
-    pub(crate) fn rng_state(&self) -> [u64; 4] {
-        self.rng.state()
-    }
-
-    /// Overwrites the exploration RNG from checkpointed state words.
-    pub(crate) fn restore_rng(&mut self, state: [u64; 4]) {
-        self.rng = StdRng::from_state(state);
-    }
-
-    /// Whether learning and exploration are enabled.
-    pub(crate) fn learning_enabled(&self) -> bool {
-        self.learning_enabled
-    }
-
-    /// The campaign state as `(code, launch-estimate watts)`:
-    /// 0 = idle, 1 = attacking, 2 = recharging (checkpoint serialization).
-    pub(crate) fn campaign_code(&self) -> (u64, f64) {
-        match self.campaign {
-            Campaign::Idle => (0, 0.0),
-            Campaign::Attacking { launch_est } => (1, launch_est.as_watts()),
-            Campaign::Recharging { launch_est } => (2, launch_est.as_watts()),
-        }
-    }
-
-    /// Overwrites the campaign state from its checkpointed
-    /// `(code, launch-estimate watts)` form.
-    pub(crate) fn restore_campaign(&mut self, code: u64, launch_watts: f64) -> Result<(), String> {
-        self.campaign = match code {
-            0 => Campaign::Idle,
-            1 => Campaign::Attacking {
-                launch_est: Power::from_watts(launch_watts),
-            },
-            2 => Campaign::Recharging {
-                launch_est: Power::from_watts(launch_watts),
-            },
-            other => return Err(format!("invalid campaign code {other}")),
-        };
-        Ok(())
-    }
-
-    /// The current campaign execution state (batch-engine lane packing).
-    pub(crate) fn campaign(&self) -> Campaign {
-        self.campaign
-    }
-
-    /// Overwrites the campaign execution state (batch-engine lane
-    /// sync-back when a devirtualized fleet hands its lanes back).
-    pub(crate) fn set_campaign(&mut self, campaign: Campaign) {
-        self.campaign = campaign;
-    }
-
-    /// A copy of the immutable per-lane parameters the batch engine hoists
-    /// into columns when it devirtualizes a fleet of foresighted lanes.
-    pub(crate) fn lane_params(&self) -> ForesightedLaneParams {
-        ForesightedLaneParams {
-            battery_grid: self.battery_grid,
-            load_grid: self.load_grid,
-            temp_grid: self.temp_grid,
-            w: self.w,
-            setpoint: self.setpoint,
-            learning_rate: self.learning_rate,
-            epsilon: self.epsilon,
-            attack_load: self.attack_load,
-            slot: self.slot,
-            capacity: self.capacity,
-            charge_soc_per_slot: self.charge_soc_per_slot,
-            attack_soc_per_slot: self.attack_soc_per_slot,
-            learning_enabled: self.learning_enabled,
-            teacher_threshold: self.teacher_threshold,
-            teacher_days: self.teacher_days,
-            min_launch_soc: self.min_launch_soc,
-        }
-    }
-
-    /// The load-bin centers of the policy matrix columns, in kW.
-    pub fn load_bin_centers_kw(&self) -> Vec<f64> {
-        (0..self.load_grid.len())
-            .map(|u| self.load_grid.center(u))
-            .collect()
-    }
-
-    /// The battery-bin centers of the policy matrix rows (state of charge).
-    pub fn battery_bin_centers(&self) -> Vec<f64> {
-        (0..self.battery_grid.len())
-            .map(|b| self.battery_grid.center(b))
-            .collect()
-    }
-}
-
-/// The immutable parameters of one [`ForesightedPolicy`] lane, copied out
-/// for the batch engine's column storage (see `batch::ForesightedLanes`).
-/// Everything the scalar `decide`/`learn` paths read, minus the mutable
-/// state (learner tables, RNG, campaign) that the lanes own directly.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct ForesightedLaneParams {
-    pub(crate) battery_grid: UniformGrid,
-    pub(crate) load_grid: UniformGrid,
-    pub(crate) temp_grid: UniformGrid,
-    pub(crate) w: f64,
-    pub(crate) setpoint: Temperature,
-    pub(crate) learning_rate: LearningRate,
-    pub(crate) epsilon: EpsilonSchedule,
-    pub(crate) attack_load: Power,
-    pub(crate) slot: Duration,
-    pub(crate) capacity: Power,
-    pub(crate) charge_soc_per_slot: f64,
-    pub(crate) attack_soc_per_slot: f64,
-    pub(crate) learning_enabled: bool,
-    pub(crate) teacher_threshold: Power,
-    pub(crate) teacher_days: u64,
-    pub(crate) min_launch_soc: f64,
-}
-
-impl ForesightedLaneParams {
-    /// Mirror of the scalar policy's `state_of`, operation for operation —
-    /// the batch engine must produce bit-identical state indices.
-    pub(crate) fn state_of(&self, soc: f64, estimated_total: Power, inlet: Temperature) -> usize {
-        let b = self.battery_grid.index(soc);
-        let u = self.load_grid.index(estimated_total.as_kilowatts());
-        let rise = (inlet - self.setpoint).positive_part().as_celsius();
-        let t = self.temp_grid.index(rise);
-        (b * self.load_grid.len() + u) * self.temp_grid.len() + t
-    }
-
-    /// Mirror of the scalar policy's `allowed_for_soc` (same push order —
-    /// greedy ties must break identically).
-    pub(crate) fn allowed_for_soc(&self, soc: f64, stored_ok: bool) -> AllowedActions {
-        let mut allowed = AllowedActions::new();
-        if soc < 0.999 {
-            allowed.push(AttackAction::Charge.index());
-        }
-        allowed.push(AttackAction::Standby.index());
-        if stored_ok && soc >= self.min_launch_soc {
-            allowed.push(AttackAction::Attack.index());
-        }
-        allowed
-    }
-
-    /// Mirror of the scalar policy's Eqn. 2 reward.
-    pub(crate) fn reward(&self, inlet: Temperature, action: AttackAction) -> f64 {
-        let dt = (inlet - self.setpoint).positive_part().as_celsius();
-        let beta = if action == AttackAction::Attack {
-            1.0
-        } else {
-            0.0
-        };
-        self.w * dt - beta
-    }
-
-    /// Mirror of the scalar policy's deterministic post-state map.
-    pub(crate) fn post_state(&self, s: usize, a: usize) -> usize {
-        post_state_impl(
-            s,
-            a,
-            self.charge_soc_per_slot,
-            self.attack_soc_per_slot,
-            self.battery_grid,
-            self.load_grid.len(),
-            self.temp_grid.len(),
-        )
-    }
-}
-
-impl AttackPolicy for ForesightedPolicy {
-    fn name(&self) -> &str {
-        "foresighted"
-    }
-
-    fn clone_policy(&self) -> Box<dyn AttackPolicy> {
-        Box::new(self.clone())
-    }
-
-    fn as_any(&self) -> &dyn std::any::Any {
-        self
-    }
-
-    fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
-        self
-    }
-
-    fn decide(&mut self, obs: &Observation) -> AttackAction {
+        campaign: &mut Campaign,
+        rng: &mut StdRng,
+        obs: &Observation,
+        epsilon: E,
+        greedy: G,
+    ) -> AttackAction
+    where
+        E: FnOnce(u64) -> f64,
+        G: FnOnce(usize, &[usize]) -> usize,
+    {
         if obs.capping {
             // Emergency declared: this attack achieved its goal. Comply,
             // and use the capped window to start regaining battery energy.
-            if let Campaign::Attacking { launch_est } = self.campaign {
-                self.campaign = Campaign::Recharging { launch_est };
+            if let Campaign::Attacking { launch_est } = *campaign {
+                *campaign = Campaign::Recharging { launch_est };
             }
             return AttackAction::Standby;
         }
@@ -938,21 +886,21 @@ impl AttackPolicy for ForesightedPolicy {
         // cooling overload is marginal.
         let ineffective =
             obs.estimated_total + self.attack_load < self.capacity + Power::from_kilowatts(0.25);
-        match self.campaign {
+        match *campaign {
             Campaign::Attacking { launch_est } => {
                 if load_collapsed(launch_est) || ineffective {
-                    self.campaign = Campaign::Idle;
+                    *campaign = Campaign::Idle;
                 } else if !stored_ok {
-                    self.campaign = Campaign::Recharging { launch_est };
+                    *campaign = Campaign::Recharging { launch_est };
                 } else {
                     return AttackAction::Attack;
                 }
             }
             Campaign::Recharging { launch_est } => {
                 if load_collapsed(launch_est) || ineffective {
-                    self.campaign = Campaign::Idle;
+                    *campaign = Campaign::Idle;
                 } else if obs.battery_soc >= self.min_launch_soc && stored_ok {
-                    self.campaign = Campaign::Attacking { launch_est };
+                    *campaign = Campaign::Attacking { launch_est };
                     return AttackAction::Attack;
                 } else {
                     return AttackAction::Charge;
@@ -977,7 +925,7 @@ impl AttackPolicy for ForesightedPolicy {
                 && obs.battery_soc >= self.min_launch_soc
                 && stored_ok
             {
-                self.campaign = Campaign::Attacking {
+                *campaign = Campaign::Attacking {
                     launch_est: obs.estimated_total,
                 };
                 AttackAction::Attack
@@ -989,28 +937,35 @@ impl AttackPolicy for ForesightedPolicy {
         }
 
         let eps = if self.learning_enabled {
-            self.epsilon.at(day)
+            epsilon(day)
         } else {
             0.0
         };
-        // Split borrows: the closure must not capture &self while the RNG is
-        // borrowed mutably, so inline the selection here.
-        let a = if eps > 0.0 && self.rng.random::<f64>() < eps {
-            allowed[self.rng.random_range(0..allowed.len())]
+        // No RNG output is consumed unless ε is strictly positive, and the
+        // index draw only happens on the explore branch.
+        let a = if eps > 0.0 && rng.random::<f64>() < eps {
+            allowed[rng.random_range(0..allowed.len())]
         } else {
-            self.agent
-                .select_greedy(s, &allowed, |s, a| post_state_for(self, s, a))
+            greedy(s, &allowed)
         };
         let action = AttackAction::from_index(a);
         if action == AttackAction::Attack {
-            self.campaign = Campaign::Attacking {
+            *campaign = Campaign::Attacking {
                 launch_est: obs.estimated_total,
             };
         }
         action
     }
 
-    fn learn(&mut self, t: &Transition) {
+    /// The foresighted learning rule for one completed slot: encodes the
+    /// transition and hands the TD step plus the actions allowed in the
+    /// next state to `update`, which applies the learner's rule with the
+    /// caller's learning rate.
+    #[inline]
+    pub(crate) fn learn<U>(&self, t: &Transition, update: U)
+    where
+        U: FnOnce(TdStep, &[usize]),
+    {
         if !self.learning_enabled {
             return;
         }
@@ -1029,25 +984,50 @@ impl AttackPolicy for ForesightedPolicy {
         let s_next = self.state_of(t.next_battery_soc, t.next_estimated_total, t.inlet);
         let stored_ok = can_attack(t.next_battery_stored, self.attack_load, self.slot);
         let allowed_next = self.allowed_for_soc(t.next_battery_soc, stored_ok);
-        let reward = self.reward(t.inlet, t.action);
-        let delta = self.learning_rate.at(t.day + 1);
-        let charge = self.charge_soc_per_slot;
-        let attack = self.attack_soc_per_slot;
-        let battery_grid = self.battery_grid;
-        let load_bins = self.load_grid.len();
-        let temp_bins = self.temp_grid.len();
-        let post = move |s: usize, a: usize| {
-            post_state_impl(s, a, charge, attack, battery_grid, load_bins, temp_bins)
-        };
-        self.agent.update(
+        let step = TdStep {
             s,
-            t.action.index(),
-            reward,
+            a: t.action.index(),
+            reward: self.reward(t.inlet, t.action),
             s_next,
-            &allowed_next,
-            post,
-            delta,
-        );
+        };
+        update(step, &allowed_next);
+    }
+}
+
+impl AttackPolicy for ForesightedPolicy {
+    fn name(&self) -> &str {
+        "foresighted"
+    }
+
+    fn clone_policy(&self) -> Box<dyn AttackPolicy> {
+        Box::new(self.clone())
+    }
+
+    fn as_any(&self) -> &dyn std::any::Any {
+        self
+    }
+
+    fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
+        self
+    }
+
+    fn decide(&mut self, obs: &Observation) -> AttackAction {
+        let (p, agent) = (&self.params, &self.agent);
+        p.decide(
+            &mut self.campaign,
+            &mut self.rng,
+            obs,
+            |day| p.epsilon.at(day),
+            |s, allowed| agent.select_greedy(s, allowed, |s, a| p.post_state(s, a)),
+        )
+    }
+
+    fn learn(&mut self, t: &Transition) {
+        let (p, agent) = (&self.params, &mut self.agent);
+        p.learn(t, |step, allowed_next| {
+            let delta = p.learning_rate.at(t.day + 1);
+            agent.update(step, allowed_next, |s, a| p.post_state(s, a), delta);
+        });
     }
 }
 
@@ -1056,20 +1036,20 @@ impl AttackPolicy for ForesightedPolicy {
 /// slot, so this stays on the stack — a `Vec` here was the last per-slot
 /// heap allocation in the simulator's steady loop.
 #[derive(Debug, Clone, Copy)]
-pub(crate) struct AllowedActions {
+struct AllowedActions {
     actions: [usize; AttackAction::COUNT],
     len: usize,
 }
 
 impl AllowedActions {
-    pub(crate) fn new() -> Self {
+    fn new() -> Self {
         AllowedActions {
             actions: [0; AttackAction::COUNT],
             len: 0,
         }
     }
 
-    pub(crate) fn push(&mut self, action: usize) {
+    fn push(&mut self, action: usize) {
         self.actions[self.len] = action;
         self.len += 1;
     }
@@ -1080,42 +1060,6 @@ impl std::ops::Deref for AllowedActions {
     fn deref(&self) -> &[usize] {
         &self.actions[..self.len]
     }
-}
-
-/// Free-function mirror of [`ForesightedPolicy::post_state`] usable inside
-/// closures that cannot capture `&self` twice.
-fn post_state_for(p: &ForesightedPolicy, s: usize, a: usize) -> usize {
-    post_state_impl(
-        s,
-        a,
-        p.charge_soc_per_slot,
-        p.attack_soc_per_slot,
-        p.battery_grid,
-        p.load_grid.len(),
-        p.temp_grid.len(),
-    )
-}
-
-pub(crate) fn post_state_impl(
-    s: usize,
-    a: usize,
-    charge_soc: f64,
-    attack_soc: f64,
-    battery_grid: UniformGrid,
-    load_bins: usize,
-    temp_bins: usize,
-) -> usize {
-    let t = s % temp_bins;
-    let bu = s / temp_bins;
-    let b = bu / load_bins;
-    let u = bu % load_bins;
-    let soc = battery_grid.center(b);
-    let soc_next = match AttackAction::from_index(a) {
-        AttackAction::Charge => (soc + charge_soc).min(1.0),
-        AttackAction::Attack => (soc - attack_soc).max(0.0),
-        AttackAction::Standby => soc,
-    };
-    (battery_grid.index(soc_next) * load_bins + u) * temp_bins + t
 }
 
 #[cfg(test)]

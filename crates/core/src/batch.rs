@@ -14,8 +14,11 @@
 //! metrics to running the same [`Simulation`] alone:
 //!
 //! * every lane applies exactly the op-for-op IEEE-754 sequence of
-//!   [`Simulation::step`] (the shared kernels are the single source of truth
-//!   for the math);
+//!   [`Simulation::step`]: the engine calls the policies' own rule
+//!   functions (the myopic rule, the foresighted decide/learn rules) and
+//!   the scalar engine's EMA filter and action power accounting instead of
+//!   copying them, and the shared kernels are the single source of truth
+//!   for the rest of the math;
 //! * lanes never interact — each carries its own trace, side-channel RNG,
 //!   battery, protocol, and policy;
 //! * sharding ([`run_sharded`]) partitions lanes contiguously and merges
@@ -37,10 +40,9 @@ use hbm_thermal::{ZoneLanes, ZoneModel};
 use hbm_units::{Duration, Energy, Power, Temperature};
 use hbm_workload::PowerTrace;
 use rand::rngs::StdRng;
-use rand::RngExt;
 
-use crate::attacker::{can_attack, Campaign, ForesightedLaneParams};
-use crate::sim::{emit_sample, slots_per_day_at, PendingTransition, SimParts};
+use crate::attacker::{myopic_action, Campaign, ForesightedParams};
+use crate::sim::{ema_estimate, emit_sample, slots_per_day_at, AttackerPower, PendingTransition};
 use crate::{
     AttackAction, AttackPolicy, ColoConfig, ForesightedPolicy, Learner, Metrics, MyopicPolicy,
     Observation, SimReport, Simulation, SlotRecord, Transition,
@@ -220,15 +222,9 @@ fn blank_observation() -> Observation {
     }
 }
 
-/// A batch of simulations advanced in lockstep over structure-of-arrays
-/// state (see the module docs for the determinism contract).
-///
-/// Build one from fully constructed [`Simulation`]s with [`BatchSim::new`],
-/// Per-lane decision constants of an all-myopic batch, in the raw
-/// representations `MyopicPolicy::decide` compares on (watts for the load
-/// threshold, kilowatt-hours for the arming energy). Replaying its three
-/// comparisons against these columns gives the exact same action sequence
-/// as the trait-object call.
+/// Per-lane decision constants of an all-myopic batch, in raw units (watts
+/// for the load threshold, kilowatt-hours for the arming energy). The
+/// policy's own rule ([`myopic_action`]) runs against these columns.
 struct MyopicLanes {
     thresholds_w: Vec<f64>,
     arm_kwh: Vec<f64>,
@@ -247,16 +243,16 @@ enum LearnerLanes {
 /// as packed column sweeps, and the campaign/RNG state the scalar policy
 /// keeps privately hoisted into per-lane columns.
 ///
-/// `learn_lane` and `decide_lane` replicate [`ForesightedPolicy::learn`] /
-/// [`ForesightedPolicy::decide`] **op for op** — same state encoding, same
-/// allowed-action order, same conditional RNG draws, same greedy comparison
-/// sequence — so lane `i` stays bit-identical to the scalar policy it was
-/// packed from (the batch determinism contract). The packed state is
+/// `learn_lane` and `decide_lane` call the policy's own rules
+/// ([`ForesightedParams::learn`] / [`ForesightedParams::decide`]) with the
+/// packed tables and swept schedule columns in place of the scalar learner
+/// and schedules, so lane `i` stays bit-identical to the scalar policy it
+/// was packed from (the batch determinism contract). The packed state is
 /// authoritative while batched and synced back in
 /// [`BatchSim::into_sims`].
 struct ForesightedLanes {
     learner: LearnerLanes,
-    params: Vec<ForesightedLaneParams>,
+    params: Vec<ForesightedParams>,
     campaigns: Vec<Campaign>,
     rngs: Vec<StdRng>,
     /// `decide`'s day divisor, `(1 day / slot)` truncated — deliberately
@@ -319,7 +315,7 @@ impl ForesightedLanes {
                 LearnerLanes::Standard(hbm_rl::StandardLanes::from_agents(&agents)?)
             }
         };
-        let params: Vec<ForesightedLaneParams> = ps.iter().map(|p| p.lane_params()).collect();
+        let params: Vec<ForesightedParams> = ps.iter().map(|p| *p.params()).collect();
         let lanes = ps.len();
         Some(ForesightedLanes {
             learner,
@@ -423,125 +419,39 @@ impl ForesightedLanes {
 
     /// [`ForesightedPolicy::learn`] on lane `i`, against the packed tables.
     fn learn_lane(&mut self, i: usize, t: &Transition) {
-        let p = self.params[i];
-        if !p.learning_enabled {
-            return;
-        }
-        let s = p.state_of(
-            t.observation.battery_soc,
-            t.observation.estimated_total,
-            t.observation.inlet,
-        );
-        let s_next = p.state_of(t.next_battery_soc, t.next_estimated_total, t.inlet);
-        let stored_ok = can_attack(t.next_battery_stored, p.attack_load, p.slot);
-        let allowed_next = p.allowed_for_soc(t.next_battery_soc, stored_ok);
-        let reward = p.reward(t.inlet, t.action);
         // The sweep evaluated this lane's δ from the same pending this
         // transition was built from.
         debug_assert_eq!(self.learn_days[i], t.day + 1);
         let delta = self.delta_col[i];
-        match &mut self.learner {
-            LearnerLanes::Batch(l) => l.update(
-                i,
-                s,
-                t.action.index(),
-                reward,
-                s_next,
-                &allowed_next,
-                |s, a| p.post_state(s, a),
-                delta,
-            ),
-            LearnerLanes::Standard(l) => {
-                l.update(i, s, t.action.index(), reward, s_next, &allowed_next, delta)
+        let p = &self.params[i];
+        let learner = &mut self.learner;
+        p.learn(t, |step, allowed_next| match learner {
+            LearnerLanes::Batch(l) => {
+                l.update(i, step, allowed_next, |s, a| p.post_state(s, a), delta)
             }
-        }
+            LearnerLanes::Standard(l) => l.update(i, step, allowed_next, delta),
+        });
     }
 
     /// [`ForesightedPolicy::decide`] on lane `i`, against the packed tables
     /// and hoisted campaign/RNG columns.
     fn decide_lane(&mut self, i: usize, obs: &Observation) -> AttackAction {
-        let p = self.params[i];
-        if obs.capping {
-            if let Campaign::Attacking { launch_est } = self.campaigns[i] {
-                self.campaigns[i] = Campaign::Recharging { launch_est };
-            }
-            return AttackAction::Standby;
-        }
-        let s = p.state_of(obs.battery_soc, obs.estimated_total, obs.inlet);
-        let stored_ok = can_attack(obs.battery_stored, p.attack_load, p.slot);
-
-        let load_collapsed =
-            |launch_est: Power| obs.estimated_total < launch_est - Power::from_kilowatts(0.4);
-        let ineffective =
-            obs.estimated_total + p.attack_load < p.capacity + Power::from_kilowatts(0.25);
-        match self.campaigns[i] {
-            Campaign::Attacking { launch_est } => {
-                if load_collapsed(launch_est) || ineffective {
-                    self.campaigns[i] = Campaign::Idle;
-                } else if !stored_ok {
-                    self.campaigns[i] = Campaign::Recharging { launch_est };
-                } else {
-                    return AttackAction::Attack;
-                }
-            }
-            Campaign::Recharging { launch_est } => {
-                if load_collapsed(launch_est) || ineffective {
-                    self.campaigns[i] = Campaign::Idle;
-                } else if obs.battery_soc >= p.min_launch_soc && stored_ok {
-                    self.campaigns[i] = Campaign::Attacking { launch_est };
-                    return AttackAction::Attack;
-                } else {
-                    return AttackAction::Charge;
-                }
-            }
-            Campaign::Idle => {}
-        }
-
-        let allowed = p.allowed_for_soc(obs.battery_soc, stored_ok);
-        let day = self.decide_days[i];
-        debug_assert_eq!(day, obs.slot / self.decide_slots_per_day[i] + 1);
-
-        if p.learning_enabled && day <= p.teacher_days {
-            return if obs.estimated_total >= p.teacher_threshold
-                && obs.battery_soc >= p.min_launch_soc
-                && stored_ok
-            {
-                self.campaigns[i] = Campaign::Attacking {
-                    launch_est: obs.estimated_total,
-                };
-                AttackAction::Attack
-            } else if obs.battery_soc < 1.0 {
-                AttackAction::Charge
-            } else {
-                AttackAction::Standby
-            };
-        }
-
-        let eps = if p.learning_enabled {
-            self.eps_col[i]
-        } else {
-            0.0
-        };
-        // Same conditional draws as the scalar policy: no RNG output is
-        // consumed unless ε is strictly positive, and the index draw only
-        // happens on the explore branch.
-        let a = if eps > 0.0 && self.rngs[i].random::<f64>() < eps {
-            allowed[self.rngs[i].random_range(0..allowed.len())]
-        } else {
-            match &self.learner {
-                LearnerLanes::Batch(l) => {
-                    l.select_greedy(i, s, &allowed, |s, a| p.post_state(s, a))
-                }
-                LearnerLanes::Standard(l) => l.select_greedy(i, s, &allowed),
-            }
-        };
-        let action = AttackAction::from_index(a);
-        if action == AttackAction::Attack {
-            self.campaigns[i] = Campaign::Attacking {
-                launch_est: obs.estimated_total,
-            };
-        }
-        action
+        let (eps, day) = (self.eps_col[i], self.decide_days[i]);
+        let p = &self.params[i];
+        let learner = &self.learner;
+        p.decide(
+            &mut self.campaigns[i],
+            &mut self.rngs[i],
+            obs,
+            |d| {
+                debug_assert_eq!(d, day);
+                eps
+            },
+            |s, allowed| match learner {
+                LearnerLanes::Batch(l) => l.select_greedy(i, s, allowed, |s, a| p.post_state(s, a)),
+                LearnerLanes::Standard(l) => l.select_greedy(i, s, allowed),
+            },
+        )
     }
 
     /// Flows lane `i`'s packed state (tables, RNG, campaign) back into the
@@ -563,6 +473,10 @@ impl ForesightedLanes {
     }
 }
 
+/// A batch of simulations advanced in lockstep over structure-of-arrays
+/// state (see the module docs for the determinism contract).
+///
+/// Build one from fully constructed [`Simulation`]s with [`BatchSim::new`],
 /// drive it with [`step_all`](BatchSim::step_all) or
 /// [`run`](BatchSim::run), then collect results with
 /// [`take_reports`](BatchSim::take_reports) and hand the scenarios back with
@@ -586,19 +500,16 @@ pub struct BatchSim {
     pendings: Vec<Option<PendingTransition>>,
     outage_remainings: Vec<Option<Duration>>,
     prev_cappings: Vec<bool>,
-    /// The attacker's EMA estimate filter, split into SoA columns (value in
-    /// watts + initialized flag) so the dense path can update every lane in
-    /// one packed pass; `Option<Power>` is materialized on
-    /// [`into_sims`](BatchSim::into_sims).
-    filter_w: Vec<f64>,
-    filter_set: Vec<bool>,
+    /// The attacker's EMA estimate filter in raw watts, one column entry
+    /// per lane so the dense path can update every lane in one pass.
+    filters: Vec<Option<f64>>,
     recorders: Vec<Option<Box<dyn Recorder>>>,
     /// Cached [`AttackPolicy::wants_learn`]; lanes with `false` skip the
     /// pending-transition bookkeeping entirely.
     wants_learn: Vec<bool>,
-    /// Set when every lane runs a [`MyopicPolicy`]: its `decide` is three
-    /// scalar comparisons on values the step loop already holds, so the
-    /// whole fleet skips the observation build and the trait-object call.
+    /// Set when every lane runs a [`MyopicPolicy`]: its rule compares values
+    /// the step loop already holds, so the whole fleet skips the
+    /// observation build and the trait-object call.
     myopic: Option<MyopicLanes>,
     /// Set when every lane runs a [`ForesightedPolicy`] with one learner
     /// kind and one table shape: Q-tables pack into a single contiguous
@@ -620,10 +531,7 @@ pub struct BatchSim {
     attacker_caps_w: Vec<f64>,
     attacker_emergency_caps: Vec<Power>,
     ema_alphas: Vec<f64>,
-    standby_powers: Vec<Power>,
-    attack_loads: Vec<Power>,
-    max_charge_rates: Vec<Power>,
-    charge_efficiencies: Vec<f64>,
+    attacker_powers: Vec<AttackerPower>,
     supplies: Vec<Temperature>,
     outage_downtimes: Vec<Duration>,
     /// Per-lane wrapping cursor into the trace: the first slot not yet
@@ -698,26 +606,39 @@ impl BatchSim {
         let mut pendings = Vec::with_capacity(lanes);
         let mut outage_remainings = Vec::with_capacity(lanes);
         let mut prev_cappings = Vec::with_capacity(lanes);
-        let mut filter_w = Vec::with_capacity(lanes);
-        let mut filter_set = Vec::with_capacity(lanes);
+        let mut filters = Vec::with_capacity(lanes);
         let mut recorders = Vec::with_capacity(lanes);
         for sim in sims {
-            let parts = sim.into_parts();
-            configs.push(parts.config);
-            traces.push(parts.trace);
-            zone_models.push(parts.zone);
-            protocols.push(parts.protocol);
-            batteries.push(parts.battery);
-            side_channels.push(parts.side_channel);
-            policies.push(parts.policy);
-            slot_indices.push(parts.slot_index);
-            metrics.push(parts.metrics);
-            pendings.push(parts.pending);
-            outage_remainings.push(parts.outage_remaining);
-            prev_cappings.push(parts.prev_capping);
-            filter_w.push(parts.estimate_filter.map_or(0.0, |p| p.as_watts()));
-            filter_set.push(parts.estimate_filter.is_some());
-            recorders.push(parts.recorder);
+            let Simulation {
+                config,
+                trace,
+                zone,
+                protocol,
+                battery,
+                side_channel,
+                policy,
+                slot_index,
+                metrics: m,
+                pending,
+                outage_remaining,
+                prev_capping,
+                estimate_filter,
+                recorder,
+            } = sim;
+            configs.push(config);
+            traces.push(trace);
+            zone_models.push(zone);
+            protocols.push(protocol);
+            batteries.push(battery);
+            side_channels.push(side_channel);
+            policies.push(policy);
+            slot_indices.push(slot_index);
+            metrics.push(m);
+            pendings.push(pending);
+            outage_remainings.push(outage_remaining);
+            prev_cappings.push(prev_capping);
+            filters.push(estimate_filter.map(Power::as_watts));
+            recorders.push(recorder);
         }
         let slot = configs[0].slot;
         assert!(
@@ -750,13 +671,7 @@ impl BatchSim {
         let attacker_caps_w = attacker_caps.iter().map(|p| p.as_watts()).collect();
         let attacker_emergency_caps = configs.iter().map(|c| c.attacker_emergency_cap()).collect();
         let ema_alphas = configs.iter().map(|c| c.estimate_ema_alpha).collect();
-        let standby_powers = configs.iter().map(|c| c.standby_power).collect();
-        let attack_loads = configs.iter().map(|c| c.attack_load).collect();
-        let max_charge_rates = configs.iter().map(|c| c.battery.max_charge_rate).collect();
-        let charge_efficiencies = configs
-            .iter()
-            .map(|c| c.battery.charge_efficiency)
-            .collect();
+        let attacker_powers = configs.iter().map(AttackerPower::of).collect();
         let supplies = configs.iter().map(|c| c.cooling.supply).collect();
         let outage_downtimes = configs.iter().map(|c| c.outage_downtime).collect();
         let trace_positions: Vec<u32> = slot_indices
@@ -778,8 +693,7 @@ impl BatchSim {
             pendings,
             outage_remainings,
             prev_cappings,
-            filter_w,
-            filter_set,
+            filters,
             recorders,
             wants_learn,
             myopic,
@@ -790,10 +704,7 @@ impl BatchSim {
             attacker_caps_w,
             attacker_emergency_caps,
             ema_alphas,
-            standby_powers,
-            attack_loads,
-            max_charge_rates,
-            charge_efficiencies,
+            attacker_powers,
             supplies,
             outage_downtimes,
             trace_positions,
@@ -963,18 +874,12 @@ impl BatchSim {
                 .estimate_all(&self.benign_w, &self.z, &mut self.est_w);
             for i in 0..lanes {
                 let raw_estimate = self.est_w[i] + self.attacker_caps_w[i];
-                let alpha = self.ema_alphas[i];
-                let filtered = if !self.filter_set[i] {
-                    raw_estimate
-                } else if self.cappings[i] {
-                    // Capped slots carry no information about the underlying
-                    // demand; freeze the filter (see Simulation::step_inner).
-                    self.filter_w[i]
-                } else {
-                    self.filter_w[i] * (1.0 - alpha) + raw_estimate * alpha
-                };
-                self.filter_w[i] = filtered;
-                self.filter_set[i] = true;
+                self.filters[i] = Some(ema_estimate(
+                    self.filters[i],
+                    raw_estimate,
+                    self.ema_alphas[i],
+                    self.cappings[i],
+                ));
                 self.est_w[i] = raw_estimate;
             }
         }
@@ -989,46 +894,36 @@ impl BatchSim {
             let benign_actual = self.records[i].benign_actual;
             let capping = self.records[i].capping;
 
-            let (raw_estimate, estimated_total) = if dense {
-                (
-                    Power::from_watts(self.est_w[i]),
-                    Power::from_watts(self.filter_w[i]),
-                )
-            } else {
+            if !dense {
                 let at = j * NORMALS_PER_ESTIMATE;
                 let mut z4 = [0.0; NORMALS_PER_ESTIMATE];
                 z4.copy_from_slice(&self.z[at..at + NORMALS_PER_ESTIMATE]);
                 let raw = self.sc_lanes.estimate_lane(i, benign_actual, &z4);
-                let raw_estimate = raw + self.attacker_caps[i];
-                let alpha = self.ema_alphas[i];
-                let estimated_total = if !self.filter_set[i] {
-                    raw_estimate
-                } else if capping {
-                    Power::from_watts(self.filter_w[i])
-                } else {
-                    Power::from_watts(self.filter_w[i]) * (1.0 - alpha) + raw_estimate * alpha
-                };
-                self.filter_w[i] = estimated_total.as_watts();
-                self.filter_set[i] = true;
-                (raw_estimate, estimated_total)
-            };
+                let raw_estimate = (raw + self.attacker_caps[i]).as_watts();
+                self.filters[i] = Some(ema_estimate(
+                    self.filters[i],
+                    raw_estimate,
+                    self.ema_alphas[i],
+                    capping,
+                ));
+                self.est_w[i] = raw_estimate;
+            }
+            let raw_estimate = Power::from_watts(self.est_w[i]);
+            let estimated_total = Power::from_watts(self.filters[i].expect("filter set above"));
             let action = if let Some(my) = &self.myopic {
-                // All-myopic fleet: replay `MyopicPolicy::decide`'s three
-                // comparisons directly (same order, same raw-unit
-                // representations), skipping the observation build and the
-                // indirect call. Myopic never learns, so the learn path
-                // below is dead for every lane of such a batch.
-                if capping {
-                    AttackAction::Standby
-                } else if estimated_total.as_watts() >= my.thresholds_w[i]
-                    && self.batteries[i].stored().as_kilowatt_hours() >= my.arm_kwh[i]
-                {
-                    AttackAction::Attack
-                } else if self.batteries[i].state_of_charge() < 1.0 {
-                    AttackAction::Charge
-                } else {
-                    AttackAction::Standby
-                }
+                // All-myopic fleet: run the myopic rule on the raw-unit
+                // columns, skipping the observation build and the indirect
+                // call. Myopic never learns, so the learn path below is
+                // dead for every lane of such a batch.
+                let battery = &self.batteries[i];
+                myopic_action(
+                    capping,
+                    estimated_total.as_watts(),
+                    my.thresholds_w[i],
+                    battery.stored().as_kilowatt_hours(),
+                    my.arm_kwh[i],
+                    battery.state_of_charge(),
+                )
             } else {
                 let observation = Observation {
                     slot: k,
@@ -1073,26 +968,12 @@ impl BatchSim {
             } else {
                 self.attacker_caps[i]
             };
-            let (attacker_metered, attacker_actual, battery_attack) = match action {
-                AttackAction::Attack => {
-                    let metered = attacker_metered_limit;
-                    let delivered = self.batteries[i].discharge(self.attack_loads[i], slot);
-                    (metered, metered + delivered, delivered)
-                }
-                AttackAction::Charge => {
-                    let headroom =
-                        (attacker_metered_limit - self.standby_powers[i]).positive_part();
-                    let drawn =
-                        self.batteries[i].charge(self.max_charge_rates[i].min(headroom), slot);
-                    let standby = self.standby_powers[i].min(attacker_metered_limit);
-                    let loss = drawn * (1.0 - self.charge_efficiencies[i]);
-                    (standby + drawn, standby + loss, Power::ZERO)
-                }
-                AttackAction::Standby => {
-                    let standby = self.standby_powers[i].min(attacker_metered_limit);
-                    (standby, standby, Power::ZERO)
-                }
-            };
+            let (attacker_metered, attacker_actual, battery_attack) = self.attacker_powers[i].act(
+                action,
+                &mut self.batteries[i],
+                attacker_metered_limit,
+                slot,
+            );
 
             let metered_total = benign_actual + attacker_metered;
             let actual_total = benign_actual + attacker_actual;
@@ -1278,7 +1159,7 @@ impl BatchSim {
         for i in (0..lanes).rev() {
             let mut zone = self.zone_models[i];
             zone.set_inlet(self.zones.inlet(i));
-            let parts = SimParts {
+            sims.push(Simulation {
                 config: self.configs.pop().expect("lane"),
                 trace: self.traces.pop().expect("lane"),
                 zone,
@@ -1291,10 +1172,9 @@ impl BatchSim {
                 pending: self.pendings.pop().expect("lane"),
                 outage_remaining: self.outage_remainings[i],
                 prev_capping: self.prev_cappings[i],
-                estimate_filter: self.filter_set[i].then(|| Power::from_watts(self.filter_w[i])),
+                estimate_filter: self.filters[i].map(Power::from_watts),
                 recorder: self.recorders.pop().expect("lane"),
-            };
-            sims.push(Simulation::from_parts(parts));
+            });
         }
         sims.reverse();
         sims

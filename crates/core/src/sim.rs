@@ -1,8 +1,7 @@
 //! The slotted colocation simulator.
 
+use std::ops::{Add, Mul};
 use std::sync::Arc;
-
-use serde::{Deserialize, Serialize};
 
 use hbm_battery::Battery;
 use hbm_power::EmergencyProtocol;
@@ -16,7 +15,7 @@ use crate::{AttackAction, AttackPolicy, ColoConfig, Metrics, Observation, Transi
 
 /// One slot of recorded simulator state (drives the snapshot figures
 /// 8, 9, and 13).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SlotRecord {
     /// Slot index.
     pub slot: u64,
@@ -45,7 +44,7 @@ pub struct SlotRecord {
 }
 
 /// Result of a simulation run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SimReport {
     /// Name of the attack policy that ran.
     pub policy: String,
@@ -65,24 +64,73 @@ pub(crate) struct PendingTransition {
     pub(crate) next_battery_stored: Energy,
 }
 
-/// A [`Simulation`] decomposed into its owned components, so the batch
-/// engine can host the same state in its structure-of-arrays layout and
-/// hand it back unchanged. Field-for-field mirror of [`Simulation`].
-pub(crate) struct SimParts {
-    pub(crate) config: ColoConfig,
-    pub(crate) trace: Arc<PowerTrace>,
-    pub(crate) zone: ZoneModel,
-    pub(crate) protocol: EmergencyProtocol,
-    pub(crate) battery: Battery,
-    pub(crate) side_channel: VoltageSideChannel,
-    pub(crate) policy: Box<dyn AttackPolicy>,
-    pub(crate) slot_index: u64,
-    pub(crate) metrics: Metrics,
-    pub(crate) pending: Option<PendingTransition>,
-    pub(crate) outage_remaining: Option<Duration>,
-    pub(crate) prev_capping: bool,
-    pub(crate) estimate_filter: Option<Power>,
-    pub(crate) recorder: Option<Box<dyn Recorder>>,
+/// The attacker's estimate filter: an exponential moving average of the
+/// raw side-channel estimates, seeded by the first one. Capped slots carry
+/// no information about the underlying demand, so the filter freezes
+/// through them and the attacker's view of the load survives the 5-minute
+/// capping episodes. Generic so the batch engine can filter raw watts.
+#[inline]
+pub(crate) fn ema_estimate<T>(prev: Option<T>, raw: T, alpha: f64, capping: bool) -> T
+where
+    T: Copy + Add<Output = T> + Mul<f64, Output = T>,
+{
+    match prev {
+        Some(prev) if capping => prev,
+        Some(prev) => prev * (1.0 - alpha) + raw * alpha,
+        None => raw,
+    }
+}
+
+/// The attacker's fixed power parameters, and the per-slot accounting of
+/// what each action meters and what heat it makes.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct AttackerPower {
+    attack_load: Power,
+    standby: Power,
+    max_charge_rate: Power,
+    charge_efficiency: f64,
+}
+
+impl AttackerPower {
+    pub(crate) fn of(config: &ColoConfig) -> AttackerPower {
+        AttackerPower {
+            attack_load: config.attack_load,
+            standby: config.standby_power,
+            max_charge_rate: config.battery.max_charge_rate,
+            charge_efficiency: config.battery.charge_efficiency,
+        }
+    }
+
+    /// Executes `action` for one slot against `battery` under the metered
+    /// limit and returns `(metered, actual, battery_attack)` attacker power.
+    #[inline]
+    pub(crate) fn act(
+        &self,
+        action: AttackAction,
+        battery: &mut Battery,
+        metered_limit: Power,
+        slot: Duration,
+    ) -> (Power, Power, Power) {
+        match action {
+            AttackAction::Attack => {
+                let delivered = battery.discharge(self.attack_load, slot);
+                (metered_limit, metered_limit + delivered, delivered)
+            }
+            AttackAction::Charge => {
+                let headroom = (metered_limit - self.standby).positive_part();
+                let drawn = battery.charge(self.max_charge_rate.min(headroom), slot);
+                let standby = self.standby.min(metered_limit);
+                // Charging draws extra metered power; only conversion losses
+                // of it become heat — the rest is stored chemistry.
+                let loss = drawn * (1.0 - self.charge_efficiency);
+                (standby + drawn, standby + loss, Power::ZERO)
+            }
+            AttackAction::Standby => {
+                let standby = self.standby.min(metered_limit);
+                (standby, standby, Power::ZERO)
+            }
+        }
+    }
 }
 
 /// Slots per simulated day at a given slot length (shared by the scalar
@@ -355,15 +403,12 @@ impl Simulation {
         // ------ Attacker: observe, decide, act. ------
         let raw_estimate =
             self.side_channel.estimate(benign_actual) + self.config.attacker_capacity;
-        let alpha = self.config.estimate_ema_alpha;
-        let estimated_total = match self.estimate_filter {
-            // Capped slots carry no information about the underlying demand;
-            // freeze the filter so the attacker's view of the load survives
-            // the 5-minute capping episodes.
-            Some(prev) if capping => prev,
-            Some(prev) => prev * (1.0 - alpha) + raw_estimate * alpha,
-            None => raw_estimate,
-        };
+        let estimated_total = ema_estimate(
+            self.estimate_filter,
+            raw_estimate,
+            self.config.estimate_ema_alpha,
+            capping,
+        );
         self.estimate_filter = Some(estimated_total);
         let observation = Observation {
             slot: k,
@@ -396,28 +441,8 @@ impl Simulation {
             self.config.attacker_capacity
         };
 
-        let (attacker_metered, attacker_actual, battery_attack) = match action {
-            AttackAction::Attack => {
-                let metered = attacker_metered_limit;
-                let delivered = self.battery.discharge(self.config.attack_load, slot);
-                (metered, metered + delivered, delivered)
-            }
-            AttackAction::Charge => {
-                let headroom = (attacker_metered_limit - self.config.standby_power).positive_part();
-                let drawn = self
-                    .battery
-                    .charge(self.config.battery.max_charge_rate.min(headroom), slot);
-                let standby = self.config.standby_power.min(attacker_metered_limit);
-                // Charging draws extra metered power; only conversion losses
-                // of it become heat — the rest is stored chemistry.
-                let loss = drawn * (1.0 - self.config.battery.charge_efficiency);
-                (standby + drawn, standby + loss, Power::ZERO)
-            }
-            AttackAction::Standby => {
-                let standby = self.config.standby_power.min(attacker_metered_limit);
-                (standby, standby, Power::ZERO)
-            }
-        };
+        let (attacker_metered, attacker_actual, battery_attack) = AttackerPower::of(&self.config)
+            .act(action, &mut self.battery, attacker_metered_limit, slot);
 
         // ------ Physics. ------
         let metered_total = benign_actual + attacker_metered;
@@ -528,46 +553,6 @@ impl Simulation {
             prev_capping: self.prev_capping,
             estimate_filter: self.estimate_filter,
             recorder: None,
-        }
-    }
-
-    /// Decomposes the simulation into its components (batch-engine intake).
-    pub(crate) fn into_parts(self) -> SimParts {
-        SimParts {
-            config: self.config,
-            trace: self.trace,
-            zone: self.zone,
-            protocol: self.protocol,
-            battery: self.battery,
-            side_channel: self.side_channel,
-            policy: self.policy,
-            slot_index: self.slot_index,
-            metrics: self.metrics,
-            pending: self.pending,
-            outage_remaining: self.outage_remaining,
-            prev_capping: self.prev_capping,
-            estimate_filter: self.estimate_filter,
-            recorder: self.recorder,
-        }
-    }
-
-    /// Rebuilds a simulation from components (batch-engine hand-back).
-    pub(crate) fn from_parts(parts: SimParts) -> Simulation {
-        Simulation {
-            config: parts.config,
-            trace: parts.trace,
-            zone: parts.zone,
-            protocol: parts.protocol,
-            battery: parts.battery,
-            side_channel: parts.side_channel,
-            policy: parts.policy,
-            slot_index: parts.slot_index,
-            metrics: parts.metrics,
-            pending: parts.pending,
-            outage_remaining: parts.outage_remaining,
-            prev_capping: parts.prev_capping,
-            estimate_filter: parts.estimate_filter,
-            recorder: parts.recorder,
         }
     }
 }

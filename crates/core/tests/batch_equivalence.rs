@@ -167,6 +167,11 @@ fn foresighted_fleet() -> Vec<Simulation> {
             4 + i as u64,
         ));
     }
+    // A non-default launch bar: the shared decide rule reads it per lane.
+    let mut policy = ForesightedPolicy::paper_default(14.0, 8);
+    policy.set_teacher(Power::from_kilowatts(7.56), 0);
+    policy.set_min_launch_soc(0.3);
+    sims.push(Simulation::new(base, Box::new(policy), 8));
     sims
 }
 

@@ -1,6 +1,7 @@
 //! Power-delivery substrate of the edge colocation.
 //!
-//! Models the paper's tree hierarchy (utility → UPS → PDU → servers), the
+//! Models the PDU level of the paper's tree hierarchy (utility → UPS → PDU
+//! → servers), the
 //! per-tenant power metering the operator uses both for capacity enforcement
 //! and — crucially for the attack — as a *proxy for cooling load*, plus the
 //! server power models and the thermal-emergency power-capping protocol.
@@ -33,10 +34,8 @@ mod capping;
 mod pdu;
 mod server;
 mod tenant;
-mod ups;
 
 pub use capping::{EmergencyProtocol, ProtocolState};
 pub use pdu::{MeterReading, Pdu};
 pub use server::ServerSpec;
 pub use tenant::{Tenant, TenantId};
-pub use ups::Ups;

@@ -1,9 +1,8 @@
 //! Batch Q-learning with post-decision states (the paper's Eqns. 3–7).
 
 use rand::RngExt;
-use serde::{Deserialize, Serialize};
 
-use crate::QTable;
+use crate::{QTable, TdStep};
 
 /// Batch Q-learning.
 ///
@@ -27,14 +26,15 @@ use crate::QTable;
 /// # Examples
 ///
 /// ```
-/// use hbm_rl::BatchQLearning;
+/// use hbm_rl::{BatchQLearning, TdStep};
 ///
 /// let mut agent = BatchQLearning::new(4, 2, 4, 0.99);
 /// let post = |s: usize, a: usize| (s + a) % 4;
 /// let a = agent.select_greedy(0, &[0, 1], post);
-/// agent.update(0, a, 0.5, 2, &[0, 1], post, 1.0);
+/// let step = TdStep { s: 0, a, reward: 0.5, s_next: 2 };
+/// agent.update(step, &[0, 1], post, 1.0);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct BatchQLearning {
     q: QTable,
     v: Vec<f64>,
@@ -156,25 +156,22 @@ impl BatchQLearning {
     /// Eqns. 5 and 7: blends the observed reward into `Q(s, a)` and the
     /// next state's value `C(s')` into `V(f(s, a))`.
     ///
-    /// `allowed_next` are the actions available in `s_next`.
+    /// `allowed_next` are the actions available in `step.s_next`.
     ///
     /// # Panics
     ///
     /// Panics if any index is out of range, `allowed_next` is empty, or
     /// `delta` is outside `(0, 1]`.
-    #[allow(clippy::too_many_arguments)]
-    pub fn update<F>(
-        &mut self,
-        s: usize,
-        a: usize,
-        reward: f64,
-        s_next: usize,
-        allowed_next: &[usize],
-        post: F,
-        delta: f64,
-    ) where
+    pub fn update<F>(&mut self, step: TdStep, allowed_next: &[usize], post: F, delta: f64)
+    where
         F: Fn(usize, usize) -> usize,
     {
+        let TdStep {
+            s,
+            a,
+            reward,
+            s_next,
+        } = step;
         assert!(
             delta > 0.0 && delta <= 1.0,
             "learning rate must be in (0, 1]"
@@ -262,7 +259,13 @@ mod tests {
             let a = agent.select(s, Toy::allowed(s), Toy::post, eps, &mut rng);
             let (r, s2) = env.step(s, a);
             let delta = (1.0 / (1.0 + k as f64 / 50.0)).max(0.02);
-            agent.update(s, a, r, s2, Toy::allowed(s2), Toy::post, delta);
+            let step = TdStep {
+                s,
+                a,
+                reward: r,
+                s_next: s2,
+            };
+            agent.update(step, Toy::allowed(s2), Toy::post, delta);
             s = s2;
         }
         agent

@@ -10,8 +10,8 @@
 //! The contract mirrors the rest of the batch engine: every per-lane
 //! operation replicates the corresponding scalar learner's
 //! floating-point sequence **op for op**, so a batched lane stays
-//! bit-identical to the scalar [`BatchQLearning`] / [`QLearning`] /
-//! [`DoubleQLearning`] it was packed from. Lanes are built by copying
+//! bit-identical to the scalar [`BatchQLearning`] / [`QLearning`] it
+//! was packed from. Lanes are built by copying
 //! scalar learners in ([`BatchLanes::from_agents`] and friends) and
 //! synced back out (`sync_into`) when the batch hands its simulations
 //! back.
@@ -26,9 +26,7 @@
 //! the scalar policy, so hoisting draws into a column pass would
 //! desynchronize the per-lane streams.
 
-use rand::RngExt;
-
-use crate::{BatchQLearning, DoubleQLearning, EpsilonSchedule, LearningRate, QLearning, QTable};
+use crate::{BatchQLearning, EpsilonSchedule, LearningRate, QLearning, QTable, TdStep};
 
 /// Per-lane Q-tables packed into one contiguous `[lane × state × action]`
 /// value matrix (plus matching visit counts).
@@ -263,15 +261,11 @@ impl BatchLanes {
     ///
     /// Panics if any index is out of range, `allowed_next` is empty, or
     /// `delta` is outside `(0, 1]`.
-    #[allow(clippy::too_many_arguments)]
     #[inline]
     pub fn update<F>(
         &mut self,
         lane: usize,
-        s: usize,
-        a: usize,
-        reward: f64,
-        s_next: usize,
+        step: TdStep,
         allowed_next: &[usize],
         post: F,
         delta: f64,
@@ -283,9 +277,9 @@ impl BatchLanes {
             "learning rate must be in (0, 1]"
         );
         let started = hbm_telemetry::timing::start();
-        self.q.blend(lane, s, a, reward, delta);
-        let c_next = self.state_value(lane, s_next, allowed_next, &post);
-        let p = lane * self.post_states + post(s, a);
+        self.q.blend(lane, step.s, step.a, step.reward, delta);
+        let c_next = self.state_value(lane, step.s_next, allowed_next, &post);
+        let p = lane * self.post_states + post(step.s, step.a);
         self.v[p] = (1.0 - delta) * self.v[p] + delta * c_next;
         hbm_telemetry::timing::record_span("rl.batch_update", started);
     }
@@ -349,19 +343,10 @@ impl StandardLanes {
     /// Panics if indices are out of range, `allowed_next` is empty, or
     /// `delta` is outside `(0, 1]`.
     #[inline]
-    pub fn update(
-        &mut self,
-        lane: usize,
-        s: usize,
-        a: usize,
-        reward: f64,
-        s_next: usize,
-        allowed_next: &[usize],
-        delta: f64,
-    ) {
+    pub fn update(&mut self, lane: usize, step: TdStep, allowed_next: &[usize], delta: f64) {
         let started = hbm_telemetry::timing::start();
-        let target = reward + self.gamma[lane] * self.q.max(lane, s_next, allowed_next);
-        self.q.blend(lane, s, a, target, delta);
+        let target = step.reward + self.gamma[lane] * self.q.max(lane, step.s_next, allowed_next);
+        self.q.blend(lane, step.s, step.a, target, delta);
         hbm_telemetry::timing::record_span("rl.q_update", started);
     }
 
@@ -373,98 +358,6 @@ impl StandardLanes {
     /// lanes'.
     pub fn sync_into(&self, lane: usize, agent: &mut QLearning) -> Result<(), String> {
         self.q.sync_into(lane, agent.table_mut())
-    }
-}
-
-/// Packed lanes of [`DoubleQLearning`] agents: two `[lane × state ×
-/// action]` matrices sharing the coin-flip update rule.
-#[derive(Debug, Clone, PartialEq)]
-pub struct DoubleLanes {
-    a: QTableLanes,
-    b: QTableLanes,
-    gamma: Vec<f64>,
-}
-
-impl DoubleLanes {
-    /// Packs the given agents. Returns `None` when the slice is empty or
-    /// the tables disagree on shape.
-    pub fn from_agents(agents: &[&DoubleQLearning]) -> Option<Self> {
-        let tables_a: Vec<&QTable> = agents.iter().map(|x| x.table_a()).collect();
-        let tables_b: Vec<&QTable> = agents.iter().map(|x| x.table_b()).collect();
-        Some(DoubleLanes {
-            a: QTableLanes::from_tables(&tables_a)?,
-            b: QTableLanes::from_tables(&tables_b)?,
-            gamma: agents.iter().map(|x| x.gamma()).collect(),
-        })
-    }
-
-    /// Number of lanes.
-    pub fn lanes(&self) -> usize {
-        self.gamma.len()
-    }
-
-    /// [`DoubleQLearning::select_greedy`] on lane `lane` (argmax of the
-    /// summed tables, same comparison sequence).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `allowed` is empty.
-    #[inline]
-    pub fn select_greedy(&self, lane: usize, s: usize, allowed: &[usize]) -> usize {
-        assert!(!allowed.is_empty(), "no allowed actions");
-        let row_a = self.a.row(lane, s);
-        let row_b = self.b.row(lane, s);
-        let mut best = allowed[0];
-        let mut best_v = f64::NEG_INFINITY;
-        for &x in allowed {
-            let v = row_a[x] + row_b[x];
-            if v > best_v {
-                best = x;
-                best_v = v;
-            }
-        }
-        best
-    }
-
-    /// [`DoubleQLearning::update`] on lane `lane`; the coin flip consumes
-    /// `rng` exactly like the scalar agent (one `bool` draw per update).
-    ///
-    /// # Panics
-    ///
-    /// Panics if indices are out of range, `allowed_next` is empty, or
-    /// `delta` is outside `(0, 1]`.
-    #[allow(clippy::too_many_arguments)]
-    #[inline]
-    pub fn update<R: RngExt + ?Sized>(
-        &mut self,
-        lane: usize,
-        s: usize,
-        a: usize,
-        reward: f64,
-        s_next: usize,
-        allowed_next: &[usize],
-        delta: f64,
-        rng: &mut R,
-    ) {
-        let flip: bool = rng.random();
-        let (learner, evaluator) = if flip {
-            (&mut self.a, &self.b)
-        } else {
-            (&mut self.b, &self.a)
-        };
-        let chosen = learner.best_action(lane, s_next, allowed_next);
-        let target = reward + self.gamma[lane] * evaluator.row(lane, s_next)[chosen];
-        learner.blend(lane, s, a, target, delta);
-    }
-
-    /// Writes lane `lane` back into a scalar agent (both tables).
-    ///
-    /// # Errors
-    ///
-    /// Returns a message if either table's shape differs from the lanes'.
-    pub fn sync_into(&self, lane: usize, agent: &mut DoubleQLearning) -> Result<(), String> {
-        self.a.sync_into(lane, agent.table_a_mut())?;
-        self.b.sync_into(lane, agent.table_b_mut())
     }
 }
 
@@ -506,7 +399,7 @@ pub fn learning_rate_sweep(schedules: &[LearningRate], days: &[u64], out: &mut [
 mod tests {
     use super::*;
     use rand::rngs::StdRng;
-    use rand::SeedableRng;
+    use rand::{RngExt, SeedableRng};
 
     fn toy_post(s: usize, a: usize) -> usize {
         (s + a) % 4
@@ -544,8 +437,14 @@ mod tests {
                     scalar.state_value(s, &allowed, toy_post).to_bits()
                 );
                 let a = scalar.select_greedy(s, &allowed, toy_post);
-                scalar.update(s, a, reward, s_next, &allowed, toy_post, delta);
-                lanes.update(lane, s, a, reward, s_next, &allowed, toy_post, delta);
+                let step = TdStep {
+                    s,
+                    a,
+                    reward,
+                    s_next,
+                };
+                scalar.update(step, &allowed, toy_post, delta);
+                lanes.update(lane, step, &allowed, toy_post, delta);
             }
         }
 
@@ -578,8 +477,14 @@ mod tests {
                     scalar.select_greedy(s, &[0, 1])
                 );
                 let a = scalar.select_greedy(s, &[0, 1]);
-                scalar.update(s, a, reward, s_next, &[0, 1], 0.1);
-                lanes.update(lane, s, a, reward, s_next, &[0, 1], 0.1);
+                let step = TdStep {
+                    s,
+                    a,
+                    reward,
+                    s_next,
+                };
+                scalar.update(step, &[0, 1], 0.1);
+                lanes.update(lane, step, &[0, 1], 0.1);
             }
         }
         for (lane, scalar) in scalars.iter().enumerate() {
@@ -588,55 +493,6 @@ mod tests {
             let bits = |xs: &[f64]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
             assert_eq!(bits(copy.table().values()), bits(scalar.table().values()));
             assert_eq!(copy.table().visits(), scalar.table().visits());
-        }
-    }
-
-    /// The double-Q coin flip must consume the RNG exactly like the
-    /// scalar agent: identical seeds on both sides, identical tables out.
-    #[test]
-    fn double_lanes_track_scalar_agents_bitwise() {
-        let mut scalars: Vec<DoubleQLearning> =
-            (0..2).map(|_| DoubleQLearning::new(3, 2, 0.9)).collect();
-        let refs: Vec<&DoubleQLearning> = scalars.iter().collect();
-        let mut lanes = DoubleLanes::from_agents(&refs).expect("uniform shapes pack");
-        let mut scalar_rngs: Vec<StdRng> = (0..2).map(StdRng::seed_from_u64).collect();
-        let mut lane_rngs: Vec<StdRng> = (0..2).map(StdRng::seed_from_u64).collect();
-        let mut env = StdRng::seed_from_u64(42);
-        for step in 0..200 {
-            let s = step % 3;
-            let s_next = (step + 1) % 3;
-            let reward = env.random::<f64>() - 0.5;
-            for (lane, scalar) in scalars.iter_mut().enumerate() {
-                assert_eq!(
-                    lanes.select_greedy(lane, s, &[0, 1]),
-                    scalar.select_greedy(s, &[0, 1])
-                );
-                let a = scalar.select_greedy(s, &[0, 1]);
-                scalar.update(s, a, reward, s_next, &[0, 1], 0.2, &mut scalar_rngs[lane]);
-                lanes.update(
-                    lane,
-                    s,
-                    a,
-                    reward,
-                    s_next,
-                    &[0, 1],
-                    0.2,
-                    &mut lane_rngs[lane],
-                );
-            }
-        }
-        for (lane, scalar) in scalars.iter().enumerate() {
-            let mut copy = DoubleQLearning::new(3, 2, 0.9);
-            lanes.sync_into(lane, &mut copy).expect("shapes match");
-            let bits = |xs: &[f64]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-            assert_eq!(
-                bits(copy.table_a().values()),
-                bits(scalar.table_a().values())
-            );
-            assert_eq!(
-                bits(copy.table_b().values()),
-                bits(scalar.table_b().values())
-            );
         }
     }
 

@@ -23,7 +23,7 @@
 //! # Examples
 //!
 //! ```
-//! use hbm_rl::{BatchQLearning, LearningRate};
+//! use hbm_rl::{BatchQLearning, TdStep};
 //!
 //! // 4 states, 2 actions, 4 post states; deterministic post map f(s,a).
 //! let mut agent = BatchQLearning::new(4, 2, 4, 0.9);
@@ -32,14 +32,13 @@
 //! let a = agent.select_greedy(s, &[0, 1], post);
 //! let reward = 1.0;
 //! let s_next = post(s, a); // toy environment
-//! agent.update(s, a, reward, s_next, &[0, 1], post, 0.5);
+//! agent.update(TdStep { s, a, reward, s_next }, &[0, 1], post, 0.5);
 //! ```
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod batch;
-mod double_q;
 mod lanes;
 mod qtable;
 mod schedule;
@@ -47,11 +46,22 @@ mod space;
 mod standard;
 
 pub use batch::BatchQLearning;
-pub use double_q::DoubleQLearning;
-pub use lanes::{
-    epsilon_sweep, learning_rate_sweep, BatchLanes, DoubleLanes, QTableLanes, StandardLanes,
-};
+pub use lanes::{epsilon_sweep, learning_rate_sweep, BatchLanes, QTableLanes, StandardLanes};
 pub use qtable::QTable;
 pub use schedule::{EpsilonSchedule, LearningRate};
 pub use space::UniformGrid;
 pub use standard::QLearning;
+
+/// One temporal-difference step: in state `s` the agent took action `a`,
+/// earned `reward`, and landed in `s_next`.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct TdStep {
+    /// State the action was taken in.
+    pub s: usize,
+    /// Action taken.
+    pub a: usize,
+    /// Reward observed for the step.
+    pub reward: f64,
+    /// State the step landed in.
+    pub s_next: usize,
+}

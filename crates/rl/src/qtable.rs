@@ -1,7 +1,5 @@
 //! Dense state–action value table.
 
-use serde::{Deserialize, Serialize};
-
 /// A dense `states × actions` table of action values with visit counts.
 ///
 /// # Examples
@@ -15,7 +13,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(q.best_action(1, &[0, 1]), 0);
 /// assert_eq!(q.max(1, &[0, 1]), 2.5);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct QTable {
     states: usize,
     actions: usize,

@@ -1,9 +1,8 @@
 //! Classic tabular Q-learning (the baseline the paper extends).
 
 use rand::RngExt;
-use serde::{Deserialize, Serialize};
 
-use crate::QTable;
+use crate::{QTable, TdStep};
 
 /// Standard Q-learning:
 /// `Q(s,a) ← (1−δ)·Q(s,a) + δ·[r + γ·max_{a'} Q(s', a')]`.
@@ -15,13 +14,14 @@ use crate::QTable;
 /// # Examples
 ///
 /// ```
-/// use hbm_rl::QLearning;
+/// use hbm_rl::{QLearning, TdStep};
 ///
 /// let mut agent = QLearning::new(2, 2, 0.9);
-/// agent.update(0, 1, 1.0, 1, &[0, 1], 0.5);
+/// let step = TdStep { s: 0, a: 1, reward: 1.0, s_next: 1 };
+/// agent.update(step, &[0, 1], 0.5);
 /// assert!(agent.table().get(0, 1) > 0.0);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct QLearning {
     table: QTable,
     gamma: f64,
@@ -93,18 +93,10 @@ impl QLearning {
     ///
     /// Panics if indices are out of range, `allowed_next` is empty, or
     /// `delta` is outside `(0, 1]`.
-    pub fn update(
-        &mut self,
-        s: usize,
-        a: usize,
-        reward: f64,
-        s_next: usize,
-        allowed_next: &[usize],
-        delta: f64,
-    ) {
+    pub fn update(&mut self, step: TdStep, allowed_next: &[usize], delta: f64) {
         let started = hbm_telemetry::timing::start();
-        let target = reward + self.gamma * self.table.max(s_next, allowed_next);
-        self.table.blend(s, a, target, delta);
+        let target = step.reward + self.gamma * self.table.max(step.s_next, allowed_next);
+        self.table.blend(step.s, step.a, target, delta);
         hbm_telemetry::timing::record_span("rl.q_update", started);
     }
 }
@@ -134,7 +126,13 @@ mod tests {
         for _ in 0..3000 {
             let a = agent.select(s, &[0, 1], 0.2, &mut rng);
             let (r, s2) = toy_step(s, a);
-            agent.update(s, a, r, s2, &[0, 1], 0.1);
+            let step = TdStep {
+                s,
+                a,
+                reward: r,
+                s_next: s2,
+            };
+            agent.update(step, &[0, 1], 0.1);
             s = s2;
         }
         assert_eq!(agent.select_greedy(0, &[0, 1]), 1);

@@ -2,7 +2,7 @@
 
 use hbm_rl::{
     epsilon_sweep, learning_rate_sweep, BatchQLearning, EpsilonSchedule, LearningRate, QTable,
-    UniformGrid,
+    TdStep, UniformGrid,
 };
 use proptest::prelude::*;
 
@@ -187,7 +187,8 @@ proptest! {
     ) {
         let mut agent = BatchQLearning::new(2, 2, 2, 0.9);
         let before = agent.q_table().get(0, 1);
-        agent.update(0, 1, reward, 1, &[0, 1], |_s, a| a % 2, delta);
+        let step = TdStep { s: 0, a: 1, reward, s_next: 1 };
+        agent.update(step, &[0, 1], |_s, a| a % 2, delta);
         let after = agent.q_table().get(0, 1);
         let (lo, hi) = if before <= reward { (before, reward) } else { (reward, before) };
         prop_assert!(after >= lo - 1e-9 && after <= hi + 1e-9);

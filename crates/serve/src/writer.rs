@@ -1,13 +1,15 @@
 //! Write-behind checkpointing: a dedicated thread turns in-memory
 //! snapshots into on-disk checkpoints off the request path.
 //!
-//! The supervisor used to serialize and `fsync`-rename two files inside
-//! every mutating operation — the dominant cost of a session step. A
-//! [`CheckpointWriter`] replaces that with a *latest-wins* queue: each
-//! enqueue coalesces onto any still-pending save for the same experiment
-//! (only the newest snapshot matters — checkpoints are recovery points,
-//! not a journal), and a single writer thread serializes the snapshot and
-//! writes both files. The queue is bounded by construction: at most one
+//! A save writes two files (manifest and checkpoint), each through a
+//! sibling temp file and a `rename`; nothing is `fsync`ed (see
+//! `docs/OPERATIONS.md` for what that means after a crash). A
+//! [`CheckpointWriter`] keeps those saves off the request path with a
+//! *latest-wins* queue: each enqueue coalesces onto any still-pending save
+//! for the same experiment (only the newest snapshot matters — checkpoints
+//! are recovery points, not a journal), and a single writer thread
+//! serializes the snapshot and writes both files. The queue is bounded by
+//! construction: at most one
 //! pending save per live experiment, so its size never exceeds the
 //! supervisor's experiment capacity.
 //!

@@ -1,6 +1,6 @@
 //! Minimal JSON encoding and flat-object decoding.
 //!
-//! The build environment has no `serde_json`, and the telemetry layer only
+//! The build environment has no JSON library, and the telemetry layer only
 //! needs a small, deterministic subset of JSON: flat objects whose values
 //! are numbers, booleans, and strings. Floats are encoded with Rust's
 //! shortest-round-trip `Display`, so a decoded value is bit-identical to

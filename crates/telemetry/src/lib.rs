@@ -22,7 +22,7 @@
 //!   into [`timing::timing_report`].
 //!
 //! JSON encoding/decoding is self-contained ([`json`]): the offline build
-//! has no `serde_json`, and telemetry needs only flat objects with
+//! has no JSON library, and telemetry needs only flat objects with
 //! shortest-round-trip floats.
 //!
 //! # Examples

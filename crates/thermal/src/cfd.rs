@@ -27,8 +27,6 @@
 //! hot aisle. Mass is conserved exactly; energy is integrated explicitly
 //! with a sub-step safely below the smallest cell residence time.
 
-use serde::{Deserialize, Serialize};
-
 use hbm_units::{Duration, Power, Temperature, TemperatureDelta};
 
 use crate::CoolingSystem;
@@ -37,7 +35,7 @@ use crate::CoolingSystem;
 const CP_AIR: f64 = 1005.0;
 
 /// Geometry and airflow configuration of the CFD-lite model.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CfdConfig {
     /// Number of racks (columns of servers).
     pub racks: usize,

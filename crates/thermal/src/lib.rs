@@ -50,6 +50,6 @@ pub use cfd::{CfdConfig, CfdModel};
 pub use cooling::CoolingSystem;
 pub use matrix::{
     clear_heat_matrix_cache, extract_heat_matrix, heat_matrix_cache_stats, HeatMatrix,
-    HeatMatrixCacheStats, HeatMatrixLanes, HeatMatrixModel,
+    HeatMatrixCacheStats, HeatMatrixModel,
 };
 pub use zone::{ZoneLanes, ZoneModel};

@@ -22,8 +22,6 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
-use serde::{Deserialize, Serialize};
-
 use hbm_units::{Duration, Power, Temperature};
 
 use crate::{CfdConfig, CfdModel};
@@ -33,7 +31,7 @@ use crate::{CfdConfig, CfdModel};
 /// `response(source, receiver, lag)` is the inlet-temperature impact (kelvin
 /// per watt of spike power) at `receiver`, `lag` steps after a one-step
 /// spike at `source`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct HeatMatrix {
     servers: usize,
     lags: usize,
@@ -483,15 +481,22 @@ impl HeatMatrixModel {
     /// step reads, matching the gather kernel's age-0 term).
     fn scatter_arrivals(&mut self, powers: &[Power]) {
         let started = hbm_telemetry::timing::start();
-        scatter_lane(
-            &self.resp_scatter,
-            &self.baseline_powers,
-            &mut self.pending,
-            self.head,
-            self.matrix.server_count(),
-            self.matrix.lag_count(),
-            powers,
-        );
+        let n = self.matrix.server_count();
+        let lags = self.matrix.lag_count();
+        for (source, (&p, &b)) in powers.iter().zip(&self.baseline_powers).enumerate() {
+            let dw = (p - b).as_watts();
+            if dw == 0.0 {
+                continue;
+            }
+            let resp = &self.resp_scatter[source * lags * n..(source + 1) * lags * n];
+            for (lag, row) in resp.chunks_exact(n).enumerate() {
+                let slot = (self.head + lag) % lags;
+                let pending = &mut self.pending[slot * n..(slot + 1) * n];
+                for (acc, &r) in pending.iter_mut().zip(row) {
+                    *acc += r * dw;
+                }
+            }
+        }
         hbm_telemetry::timing::record_span("matrix.scatter", started);
     }
 
@@ -563,138 +568,6 @@ impl HeatMatrixModel {
         // Every pending contribution came from past arrivals; zeroing the
         // ring forgets them all, which is exactly the operating point.
         self.pending.fill(0.0);
-    }
-}
-
-/// The scatter kernel shared by [`HeatMatrixModel`] and [`HeatMatrixLanes`]:
-/// accumulates one lane's nonzero power deviations into its pending ring.
-#[inline(always)]
-fn scatter_lane(
-    resp_scatter: &[f64],
-    baseline_powers: &[Power],
-    pending: &mut [f64],
-    head: usize,
-    n: usize,
-    lags: usize,
-    powers: &[Power],
-) {
-    for (source, (&p, &b)) in powers.iter().zip(baseline_powers).enumerate() {
-        let dw = (p - b).as_watts();
-        if dw == 0.0 {
-            continue;
-        }
-        let resp = &resp_scatter[source * lags * n..(source + 1) * lags * n];
-        for (lag, row) in resp.chunks_exact(n).enumerate() {
-            let slot = (head + lag) % lags;
-            let pending = &mut pending[slot * n..(slot + 1) * n];
-            for (acc, &r) in pending.iter_mut().zip(row) {
-                *acc += r * dw;
-            }
-        }
-    }
-}
-
-/// A batch of [`HeatMatrixModel`] instances advanced in lockstep around a
-/// shared operating point.
-///
-/// All lanes share one transposed response table and baseline (read-only,
-/// so the table stays hot in cache across the whole batch), while each lane
-/// owns its slice of one contiguous pending ring. Stepping the batch runs
-/// the scatter kernel lane after lane as a tight loop over contiguous
-/// memory — the batch-engine form of the `matrix.scatter` hot path, emitted
-/// under the `batch.scatter` telemetry span.
-///
-/// Each lane's predictions are bit-identical to a standalone
-/// [`HeatMatrixModel`] fed the same power sequence: both run
-/// the same scatter kernel, and lanes never interact.
-#[derive(Debug, Clone)]
-pub struct HeatMatrixLanes {
-    template: HeatMatrixModel,
-    lanes: usize,
-    /// Concatenated per-lane pending rings, `lanes × lags × servers`.
-    pending: Vec<f64>,
-    /// Shared ring position (lanes advance in lockstep).
-    head: usize,
-}
-
-impl HeatMatrixLanes {
-    /// Creates `lanes` copies of `model`'s operating point, each starting
-    /// from the model's *current* convolution state.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `lanes` is zero.
-    pub fn new(model: &HeatMatrixModel, lanes: usize) -> Self {
-        assert!(lanes > 0, "at least one lane required");
-        let ring = model.pending.len();
-        let mut pending = Vec::with_capacity(lanes * ring);
-        for _ in 0..lanes {
-            pending.extend_from_slice(&model.pending);
-        }
-        HeatMatrixLanes {
-            template: model.clone(),
-            lanes,
-            pending,
-            head: model.head,
-        }
-    }
-
-    /// Number of lanes in the batch.
-    pub fn lane_count(&self) -> usize {
-        self.lanes
-    }
-
-    /// Number of servers per lane.
-    pub fn server_count(&self) -> usize {
-        self.template.matrix.server_count()
-    }
-
-    /// Advances every lane one lag step. `powers` holds one power per server
-    /// per lane (lane-major, `lanes × servers`); predicted inlet
-    /// temperatures (°C) are written to `out` in the same layout.
-    /// Allocation-free.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `powers` or `out` length differs from
-    /// `lane_count() × server_count()`.
-    pub fn step_all(&mut self, powers: &[Power], out: &mut [f64]) {
-        let n = self.server_count();
-        let lags = self.template.matrix.lag_count();
-        let total = self.lanes * n;
-        assert_eq!(powers.len(), total, "one power per server per lane");
-        assert_eq!(out.len(), total, "one output cell per server per lane");
-
-        let started = hbm_telemetry::timing::start();
-        let ring = lags * n;
-        for lane in 0..self.lanes {
-            scatter_lane(
-                &self.template.resp_scatter,
-                &self.template.baseline_powers,
-                &mut self.pending[lane * ring..(lane + 1) * ring],
-                self.head,
-                n,
-                lags,
-                &powers[lane * n..(lane + 1) * n],
-            );
-        }
-        hbm_telemetry::timing::record_span_units("batch.scatter", started, self.lanes as u64);
-
-        let cur = self.head * n;
-        for lane in 0..self.lanes {
-            let pending = &mut self.pending[lane * ring..(lane + 1) * ring];
-            let current = &pending[cur..cur + n];
-            let out = &mut out[lane * n..(lane + 1) * n];
-            for ((o, &dt), &base) in out
-                .iter_mut()
-                .zip(current)
-                .zip(&self.template.baseline_inlets)
-            {
-                *o = (base + dt).max(self.template.supply_celsius);
-            }
-            pending[cur..cur + n].fill(0.0);
-        }
-        self.head = (self.head + 1) % lags;
     }
 }
 
@@ -997,48 +870,6 @@ mod tests {
                 base.max(model.supply_celsius()),
                 "expired excursion must leave no residue"
             );
-        }
-    }
-
-    #[test]
-    fn lanes_match_scalar_models_bitwise() {
-        let config = small_config();
-        let baseline = small_baseline();
-        let model = HeatMatrixModel::from_cfd(
-            &config,
-            &baseline,
-            Power::from_watts(120.0),
-            Duration::from_minutes(5.0),
-            Duration::from_minutes(1.0),
-        );
-        let lanes_n = 3;
-        let mut lanes = HeatMatrixLanes::new(&model, lanes_n);
-        let mut scalars = vec![model.clone(); lanes_n];
-        assert_eq!(lanes.lane_count(), lanes_n);
-        assert_eq!(lanes.server_count(), 4);
-
-        let n = 4;
-        let mut powers = vec![Power::ZERO; lanes_n * n];
-        let mut out = vec![0.0; lanes_n * n];
-        let mut scalar_out = vec![0.0; n];
-        for k in 0..12u32 {
-            for lane in 0..lanes_n {
-                for s in 0..n {
-                    let bump = f64::from(k * (lane as u32 + 1) % 7) * 23.0;
-                    powers[lane * n + s] = baseline[s] + Power::from_watts(bump);
-                }
-            }
-            lanes.step_all(&powers, &mut out);
-            for (lane, scalar) in scalars.iter_mut().enumerate() {
-                scalar.step_into(&powers[lane * n..(lane + 1) * n], &mut scalar_out);
-                for s in 0..n {
-                    assert_eq!(
-                        out[lane * n + s].to_bits(),
-                        scalar_out[s].to_bits(),
-                        "lane {lane} server {s} diverged at slot {k}"
-                    );
-                }
-            }
         }
     }
 
