@@ -450,6 +450,20 @@ pub struct ForesightedPolicy {
     rng: StdRng,
     /// Attack-campaign execution state; see [`Campaign`].
     campaign: Campaign,
+    /// The last `(day, value)` of the ε and learning-rate schedules. Both
+    /// are pure functions of the day, which moves once per simulated day,
+    /// so a memo hit returns the exact value a fresh evaluation would
+    /// (day 0 = never evaluated; real days start at 1).
+    epsilon_memo: (u64, f64),
+    rate_memo: (u64, f64),
+}
+
+/// `f(day)` through a one-entry `(day, value)` memo.
+fn memoized(memo: &mut (u64, f64), day: u64, f: impl FnOnce(u64) -> f64) -> f64 {
+    if memo.0 != day {
+        *memo = (day, f(day));
+    }
+    memo.1
 }
 
 /// The fixed parameters of a [`ForesightedPolicy`] — everything its
@@ -467,7 +481,7 @@ pub(crate) struct ForesightedParams {
     pub(crate) learning_rate: LearningRate,
     pub(crate) epsilon: EpsilonSchedule,
     attack_load: Power,
-    pub(crate) slot: Duration,
+    slot: Duration,
     /// Colocation capacity (known to every tenant from its contract).
     capacity: Power,
     /// State-of-charge delta of one slot of charging / attacking, used by
@@ -483,6 +497,24 @@ pub(crate) struct ForesightedParams {
     /// Minimum state of charge required to *launch* an attack (continuing
     /// a committed one is exempt). See `allowed_for_soc`.
     min_launch_soc: f64,
+    /// `decide`'s day divisor, `(1 day / slot)` truncated — deliberately
+    /// *not* the rounded slots-per-day that `learn` transitions carry (the
+    /// two have always been computed differently, and outputs keep both).
+    pub(crate) decide_slots_per_day: u64,
+    /// Eqn. 4's battery move, tabled: `next_battery[b][a]` is the battery
+    /// bin one slot of action `a` leads to from bin `b`
+    /// ([`ForesightedParams::eqn4_battery_bin`] evaluated once per entry).
+    next_battery: [[u8; AttackAction::COUNT]; ForesightedPolicy::BATTERY_BINS],
+}
+
+/// Stride of the battery coordinate in the flat state index
+/// `s = (b·LOAD_BINS + u)·TEMP_BINS + t`; the load and temperature
+/// coordinates together are `s % BATTERY_STRIDE`.
+const BATTERY_STRIDE: usize = ForesightedPolicy::LOAD_BINS * ForesightedPolicy::TEMP_BINS;
+
+/// Flat index of the `(battery, load, temperature)` bin triple.
+fn state_index(b: usize, u: usize, t: usize) -> usize {
+    b * BATTERY_STRIDE + u * ForesightedPolicy::TEMP_BINS + t
 }
 
 /// Execution state of a sustained attack campaign (the cycle the paper's
@@ -555,7 +587,7 @@ impl ForesightedPolicy {
             Self::LOAD_BINS,
         );
         let temp_grid = UniformGrid::new(0.0, 6.0, Self::TEMP_BINS);
-        let params = ForesightedParams {
+        let mut params = ForesightedParams {
             battery_grid,
             load_grid,
             temp_grid,
@@ -581,7 +613,15 @@ impl ForesightedPolicy {
             // policy attacks drops as the reward weight w grows (≈60 % at
             // w = 9, ≈40 % at w = 14). Encode that dependence directly.
             min_launch_soc: (0.9 - 0.02 * w).clamp(0.55, 0.9),
+            decide_slots_per_day: (Duration::from_days(1.0) / slot) as u64,
+            next_battery: [[0; AttackAction::COUNT]; Self::BATTERY_BINS],
         };
+        let next_battery = std::array::from_fn(|b| {
+            std::array::from_fn(|a| {
+                u8::try_from(params.eqn4_battery_bin(b, a)).expect("battery bin fits a byte")
+            })
+        });
+        params.next_battery = next_battery;
         let states = params.states();
         ForesightedPolicy {
             agent: Learner::Batch(BatchQLearning::new(
@@ -593,6 +633,8 @@ impl ForesightedPolicy {
             params,
             rng: StdRng::seed_from_u64(seed),
             campaign: Campaign::Idle,
+            epsilon_memo: (0, 0.0),
+            rate_memo: (0, 0.0),
         }
     }
 
@@ -656,13 +698,13 @@ impl ForesightedPolicy {
     /// (low→high), columns load bins (low→high).
     pub fn policy_matrix(&self) -> Vec<Vec<AttackAction>> {
         let p = &self.params;
-        (0..p.battery_grid.len())
+        (0..Self::BATTERY_BINS)
             .map(|b| {
                 let soc = p.battery_grid.center(b);
-                (0..p.load_grid.len())
+                (0..Self::LOAD_BINS)
                     .map(|u| {
                         // Temperature bin 0: inlet at the setpoint.
-                        let s = (b * p.load_grid.len() + u) * p.temp_grid.len();
+                        let s = state_index(b, u, 0);
                         // Attack is feasible whenever the bin's SoC covers
                         // one slot; mirror `allowed_for_soc`.
                         let stored_ok = soc >= p.attack_soc_per_slot;
@@ -780,7 +822,7 @@ impl ForesightedPolicy {
 impl ForesightedParams {
     /// Size of the joint (battery, load, temperature) state space.
     fn states(&self) -> usize {
-        self.battery_grid.len() * self.load_grid.len() * self.temp_grid.len()
+        ForesightedPolicy::BATTERY_BINS * BATTERY_STRIDE
     }
 
     fn state_of(&self, soc: f64, estimated_total: Power, inlet: Temperature) -> usize {
@@ -788,7 +830,7 @@ impl ForesightedParams {
         let u = self.load_grid.index(estimated_total.as_kilowatts());
         let rise = (inlet - self.setpoint).positive_part().as_celsius();
         let t = self.temp_grid.index(rise);
-        (b * self.load_grid.len() + u) * self.temp_grid.len() + t
+        state_index(b, u, t)
     }
 
     /// Actions available in a state. Order matters: greedy ties break to
@@ -820,20 +862,26 @@ impl ForesightedParams {
     }
 
     /// The deterministic post-state map `f(s, a)` (Eqn. 4): only the battery
-    /// coordinate moves; the load and temperature coordinates stay.
+    /// coordinate moves, to the tabled bin; the load and temperature
+    /// coordinates stay.
+    #[inline]
     pub(crate) fn post_state(&self, s: usize, a: usize) -> usize {
-        let (load_bins, temp_bins) = (self.load_grid.len(), self.temp_grid.len());
-        let t = s % temp_bins;
-        let bu = s / temp_bins;
-        let b = bu / load_bins;
-        let u = bu % load_bins;
+        let next = self.next_battery[s / BATTERY_STRIDE][a];
+        usize::from(next) * BATTERY_STRIDE + s % BATTERY_STRIDE
+    }
+
+    /// Eqn. 4's battery move from bin `b` under action `a`, by the
+    /// linear battery model: the bin's center SoC moves by one slot of
+    /// charging or attacking, clamped to `[0, 1]`, and is re-binned.
+    /// Evaluated once per table entry, in [`ForesightedPolicy::new`].
+    fn eqn4_battery_bin(&self, b: usize, a: usize) -> usize {
         let soc = self.battery_grid.center(b);
         let soc_next = match AttackAction::from_index(a) {
             AttackAction::Charge => (soc + self.charge_soc_per_slot).min(1.0),
             AttackAction::Attack => (soc - self.attack_soc_per_slot).max(0.0),
             AttackAction::Standby => soc,
         };
-        (self.battery_grid.index(soc_next) * load_bins + u) * temp_bins + t
+        self.battery_grid.index(soc_next)
     }
 
     /// Eqn. 2 reward.
@@ -910,7 +958,7 @@ impl ForesightedParams {
         }
 
         let allowed = self.allowed_for_soc(obs.battery_soc, stored_ok);
-        let day = obs.slot / (Duration::from_days(1.0) / self.slot) as u64 + 1;
+        let day = obs.slot / self.decide_slots_per_day + 1;
 
         // Bootstrap phase: the initial attack policy drives behaviour while
         // the tables learn off-policy what a successful sustained attack
@@ -1012,20 +1060,20 @@ impl AttackPolicy for ForesightedPolicy {
     }
 
     fn decide(&mut self, obs: &Observation) -> AttackAction {
-        let (p, agent) = (&self.params, &self.agent);
+        let (p, agent, memo) = (&self.params, &self.agent, &mut self.epsilon_memo);
         p.decide(
             &mut self.campaign,
             &mut self.rng,
             obs,
-            |day| p.epsilon.at(day),
+            |day| memoized(memo, day, |d| p.epsilon.at(d)),
             |s, allowed| agent.select_greedy(s, allowed, |s, a| p.post_state(s, a)),
         )
     }
 
     fn learn(&mut self, t: &Transition) {
-        let (p, agent) = (&self.params, &mut self.agent);
+        let (p, agent, memo) = (&self.params, &mut self.agent, &mut self.rate_memo);
         p.learn(t, |step, allowed_next| {
-            let delta = p.learning_rate.at(t.day + 1);
+            let delta = memoized(memo, t.day + 1, |d| p.learning_rate.at(d));
             agent.update(step, allowed_next, |s, a| p.post_state(s, a), delta);
         });
     }
@@ -1242,6 +1290,56 @@ mod tests {
         // fresh launch (only campaigns in progress may continue there).
         let mut p = ForesightedPolicy::paper_default(14.0, 1);
         assert_eq!(p.decide(&obs(0.4, 7.9, false)), AttackAction::Charge);
+    }
+
+    /// The Eqn. 4 post-state map by direct arithmetic, the oracle the table
+    /// is pinned to: decode the state with the grids' runtime sizes, move
+    /// the battery bin's center SoC by one slot of the action, re-bin,
+    /// re-encode.
+    fn arithmetic_post_state(p: &ForesightedParams, s: usize, a: usize) -> usize {
+        let (load_bins, temp_bins) = (p.load_grid.len(), p.temp_grid.len());
+        let t = s % temp_bins;
+        let bu = s / temp_bins;
+        let b = bu / load_bins;
+        let u = bu % load_bins;
+        let soc = p.battery_grid.center(b);
+        let soc_next = match AttackAction::from_index(a) {
+            AttackAction::Charge => (soc + p.charge_soc_per_slot).min(1.0),
+            AttackAction::Attack => (soc - p.attack_soc_per_slot).max(0.0),
+            AttackAction::Standby => soc,
+        };
+        (p.battery_grid.index(soc_next) * load_bins + u) * temp_bins + t
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn tabled_post_state_matches_eqn4_arithmetic(
+            // Fig. 12e's battery sweep spans 0.2–1.4 kWh; the wider arm
+            // covers batteries that one slot drains or fills outright.
+            battery_kwh in proptest::prop_oneof![0.2..1.4f64, 0.01..5.0f64],
+            charge_kw in 0.01..2.0f64,
+            attack_kw in 0.1..3.0f64,
+            slot_minutes in 0.1..15.0f64,
+            w in 0.0..30.0f64,
+        ) {
+            let policy = ForesightedPolicy::new(
+                w,
+                Power::from_kilowatts(8.0),
+                Energy::from_kilowatt_hours(battery_kwh),
+                Power::from_kilowatts(charge_kw),
+                Power::from_kilowatts(attack_kw),
+                Duration::from_minutes(slot_minutes),
+                1,
+            );
+            let p = policy.params();
+            for s in 0..p.states() {
+                for a in 0..AttackAction::COUNT {
+                    proptest::prop_assert_eq!(p.post_state(s, a), arithmetic_post_state(p, s, a));
+                }
+            }
+        }
     }
 
     #[test]

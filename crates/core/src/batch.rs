@@ -255,11 +255,6 @@ struct ForesightedLanes {
     params: Vec<ForesightedParams>,
     campaigns: Vec<Campaign>,
     rngs: Vec<StdRng>,
-    /// `decide`'s day divisor, `(1 day / slot)` truncated — deliberately
-    /// *not* the rounded [`slots_per_day_at`] that `learn` transitions use
-    /// (the scalar policy computes the two differently, and bit-identity
-    /// means replicating both).
-    decide_slots_per_day: Vec<u64>,
     /// Per-lane schedule columns for the packed sweeps.
     epsilons: Vec<EpsilonSchedule>,
     learning_rates: Vec<LearningRate>,
@@ -324,10 +319,6 @@ impl ForesightedLanes {
                 .iter()
                 .map(|p| StdRng::from_state(p.rng_state()))
                 .collect(),
-            decide_slots_per_day: params
-                .iter()
-                .map(|p| (Duration::from_days(1.0) / p.slot) as u64)
-                .collect(),
             epsilons: params.iter().map(|p| p.epsilon).collect(),
             learning_rates: params.iter().map(|p| p.learning_rate).collect(),
             params,
@@ -364,7 +355,7 @@ impl ForesightedLanes {
     ) {
         for i in 0..self.params.len() {
             // decide: `day = obs.slot / (1 day / slot) + 1` (un-rounded).
-            self.decide_days[i] = records[i].slot / self.decide_slots_per_day[i] + 1;
+            self.decide_days[i] = records[i].slot / self.params[i].decide_slots_per_day + 1;
             // learn: `δ = learning_rate.at(t.day + 1)` with
             // `t.day = pending.observation.slot / slots_per_day` (rounded).
             self.learn_days[i] = pendings[i]

@@ -13,7 +13,7 @@ use rand::{RngExt, SeedableRng};
 use hbm_workload::latency::LatencyModel;
 use hbm_workload::queue::simulate as queue_simulate;
 
-use crate::common::{heading, write_csv, Options, Sink};
+use crate::common::{heading, run_sims_batch, write_csv, Options, Sink};
 use crate::outln;
 
 /// Ablation: the paper's batch Q-learning vs classic Q-learning, same
@@ -393,19 +393,24 @@ pub fn setpoint(opts: &Options, out: &mut Sink) {
         out,
         "  setpoint °C   emergencies %   (margin to the 32 °C threshold)"
     );
-    // One independent 90-day campaign per setpoint.
-    let results = hbm_par::par_map(vec![27.0, 25.0, 23.0, 21.0], |supply_c| {
-        let mut config = ColoConfig::paper_default();
-        config.cooling = config
-            .cooling
-            .with_supply(Temperature::from_celsius(supply_c));
-        let policy = MyopicPolicy::new(hbm_units::Power::from_kilowatts(7.4));
-        let mut sim = Simulation::new(config, Box::new(policy), opts.seed);
-        let report = sim.run(opts.slots().min(90 * 1440));
-        (supply_c, 100.0 * report.metrics.emergency_fraction())
-    });
+    // One 90-day myopic campaign per setpoint, as lanes of one batch: no
+    // warm-up, one shared trace, the all-myopic fast path.
+    let setpoints = [27.0, 25.0, 23.0, 21.0];
+    let lanes = setpoints
+        .iter()
+        .map(|&supply_c| {
+            let mut config = ColoConfig::paper_default();
+            config.cooling = config
+                .cooling
+                .with_supply(Temperature::from_celsius(supply_c));
+            let policy = MyopicPolicy::new(hbm_units::Power::from_kilowatts(7.4));
+            (Simulation::new(config, Box::new(policy), opts.seed), false)
+        })
+        .collect();
+    let reports = run_sims_batch(lanes, 0, opts.slots().min(90 * 1440));
     let mut rows = Vec::new();
-    for (supply_c, pct) in results {
+    for (supply_c, report) in setpoints.into_iter().zip(reports) {
+        let pct = 100.0 * report.metrics.emergency_fraction();
         outln!(
             out,
             "  {supply_c:11.0}   {pct:13.3}   ({:.0} K margin)",

@@ -230,7 +230,35 @@ fn print_timing_report(opts: &Options) -> Result<(), String> {
     Ok(())
 }
 
+/// Pins glibc's mmap threshold at its 128 KiB default.
+///
+/// Left dynamic, glibc raises the threshold to the size of the first large
+/// block freed — a year-long trace — and from then on every trace and
+/// record buffer is carved from the job threads' heaps. What those heaps
+/// keep resident after a buffer is freed depends on how the job threads
+/// happened to interleave, so peak RSS of one `experiments all` varied by
+/// up to 14 MiB between identical runs. Pinned, every large buffer is its
+/// own mapping, returned to the OS when freed, and peak RSS follows the
+/// live data.
+#[cfg(all(target_os = "linux", target_env = "gnu"))]
+fn pin_mmap_threshold() {
+    use std::ffi::c_int;
+    const M_MMAP_THRESHOLD: c_int = -3;
+    extern "C" {
+        fn mallopt(param: c_int, value: c_int) -> c_int;
+    }
+    // SAFETY: mallopt only sets an allocator parameter, and it runs before
+    // any other thread exists.
+    unsafe {
+        mallopt(M_MMAP_THRESHOLD, 128 * 1024);
+    }
+}
+
+#[cfg(not(all(target_os = "linux", target_env = "gnu")))]
+fn pin_mmap_threshold() {}
+
 fn main() {
+    pin_mmap_threshold();
     let raw: Vec<String> = std::env::args().skip(1).collect();
     let (opts, ids) = match Options::parse(&raw) {
         Ok(v) => v,

@@ -22,8 +22,10 @@ use std::sync::atomic::{AtomicIsize, AtomicUsize, Ordering};
 use std::sync::Mutex;
 
 /// Extra worker threads the whole process may have in flight, beyond the
-/// threads that call [`par_map`]. Negative is never stored; 0 means every
-/// `par_map` call runs sequentially.
+/// threads that call [`par_map`]. At or below 0 every `par_map` call runs
+/// sequentially. It goes negative when [`configure_threads`] shrinks the
+/// budget below what outstanding leases hold, and climbs back as those
+/// leases drop.
 static EXTRA_THREAD_BUDGET: AtomicIsize = AtomicIsize::new(0);
 static CONFIGURED: AtomicIsize = AtomicIsize::new(0);
 
@@ -159,17 +161,28 @@ mod tests {
     use super::*;
     use std::sync::atomic::AtomicUsize;
 
-    // The budget is process-global state shared by all #[test] threads, so
-    // each test configures generously rather than asserting exact counts.
+    // The budget is process-global state shared by all #[test] threads.
+    // Every test that reconfigures it or takes a lease holds this lock, so
+    // one test's `configure_threads` never shrinks the budget under
+    // another test's outstanding leases.
+    static BUDGET_LOCK: Mutex<()> = Mutex::new(());
+
+    fn budget_lock() -> std::sync::MutexGuard<'static, ()> {
+        BUDGET_LOCK
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner)
+    }
 
     #[test]
     fn sequential_when_budget_is_zero() {
+        let _budget = budget_lock();
         let out = par_map(vec![1, 2, 3], |x| x * 10);
         assert_eq!(out, vec![10, 20, 30]);
     }
 
     #[test]
     fn parallel_results_stay_in_input_order() {
+        let _budget = budget_lock();
         configure_threads(4);
         let items: Vec<usize> = (0..100).collect();
         let out = par_map(items, |x| {
@@ -183,6 +196,7 @@ mod tests {
 
     #[test]
     fn nested_calls_do_not_deadlock() {
+        let _budget = budget_lock();
         configure_threads(4);
         let out = par_map(vec![0usize, 1, 2], |outer| {
             par_map((0..5usize).collect(), move |inner| outer * 100 + inner)
@@ -194,6 +208,7 @@ mod tests {
 
     #[test]
     fn budget_is_released_after_use() {
+        let _budget = budget_lock();
         configure_threads(3);
         for _ in 0..50 {
             let _ = par_map(vec![1, 2, 3, 4], |x| x + 1);
@@ -206,6 +221,7 @@ mod tests {
 
     #[test]
     fn every_item_processed_exactly_once() {
+        let _budget = budget_lock();
         configure_threads(4);
         static HITS: AtomicUsize = AtomicUsize::new(0);
         let out = par_map((0..256usize).collect::<Vec<_>>(), |x| {
@@ -218,10 +234,10 @@ mod tests {
 
     #[test]
     fn reserved_threads_come_back_on_drop() {
+        let _budget = budget_lock();
         configure_threads(4);
-        // The budget is shared with concurrently running tests, so assert
-        // only lease-local invariants: the grant is bounded by the request
-        // and the counter never goes negative once the lease returns.
+        // The grant is bounded by the request and the counter never goes
+        // negative once the lease returns.
         for _ in 0..20 {
             let lease = reserve_threads(2);
             assert!(lease.granted() <= 2);

@@ -23,6 +23,10 @@ pub struct UniformGrid {
     lo: f64,
     hi: f64,
     bins: usize,
+    /// `(hi − lo) / bins`, computed once. It is the same expression on the
+    /// same operands as a per-call evaluation, so caching it changes no
+    /// bits and saves `index` and `center` a division each.
+    width: f64,
 }
 
 impl UniformGrid {
@@ -34,7 +38,12 @@ impl UniformGrid {
     pub fn new(lo: f64, hi: f64, bins: usize) -> Self {
         assert!(bins > 0, "grid needs at least one bin");
         assert!(lo.is_finite() && hi.is_finite() && hi > lo, "bad interval");
-        UniformGrid { lo, hi, bins }
+        UniformGrid {
+            lo,
+            hi,
+            bins,
+            width: (hi - lo) / bins as f64,
+        }
     }
 
     /// Number of bins.
@@ -59,7 +68,7 @@ impl UniformGrid {
 
     /// Width of one bin.
     pub fn width(&self) -> f64 {
-        (self.hi - self.lo) / self.bins as f64
+        self.width
     }
 
     /// Bin index of an observation, clamping out-of-range values.
@@ -67,7 +76,7 @@ impl UniformGrid {
         if !x.is_finite() || x <= self.lo {
             return 0;
         }
-        let i = ((x - self.lo) / self.width()) as usize;
+        let i = ((x - self.lo) / self.width) as usize;
         i.min(self.bins - 1)
     }
 
@@ -78,7 +87,7 @@ impl UniformGrid {
     /// Panics if `i` is out of range.
     pub fn center(&self, i: usize) -> f64 {
         assert!(i < self.bins, "bin index out of range");
-        self.lo + (i as f64 + 0.5) * self.width()
+        self.lo + (i as f64 + 0.5) * self.width
     }
 }
 

@@ -45,6 +45,35 @@ proptest! {
     }
 
     #[test]
+    fn grid_cached_width_is_bit_identical_to_uncached_formula(
+        lo in -100.0..100.0f64,
+        width in 1e-3..100.0f64,
+        bins in 1usize..64,
+        x in -300.0..300.0f64,
+    ) {
+        // The uncached formulas: every call divides `(hi − lo)` by the bin
+        // count afresh.
+        let hi = lo + width;
+        let uncached_width = || (hi - lo) / bins as f64;
+        let uncached_index = |x: f64| {
+            if !x.is_finite() || x <= lo {
+                return 0;
+            }
+            (((x - lo) / uncached_width()) as usize).min(bins - 1)
+        };
+        let uncached_center = |i: usize| lo + (i as f64 + 0.5) * uncached_width();
+
+        let grid = UniformGrid::new(lo, hi, bins);
+        prop_assert_eq!(grid.width().to_bits(), uncached_width().to_bits());
+        prop_assert_eq!(grid.index(x), uncached_index(x));
+        for i in 0..bins {
+            let c = grid.center(i);
+            prop_assert_eq!(c.to_bits(), uncached_center(i).to_bits());
+            prop_assert_eq!(grid.index(c), uncached_index(c));
+        }
+    }
+
+    #[test]
     fn qtable_blend_stays_between_value_and_target(
         initial in -100.0..100.0f64,
         target in -100.0..100.0f64,

@@ -182,22 +182,24 @@ impl PowerTrace {
     /// clamping at zero (the paper scales traces to 75 % mean utilization
     /// while "maintaining the peak power at 8 kW").
     pub fn rescale(&self, mean: Power, peak: Power) -> PowerTrace {
+        let mut trace = self.clone();
+        trace.rescale_in_place(mean, peak);
+        trace
+    }
+
+    /// [`PowerTrace::rescale`] without a second copy of the samples.
+    fn rescale_in_place(&mut self, mean: Power, peak: Power) {
         let m = self.mean().as_watts();
         let hi = self.peak().as_watts();
-        let samples = if (hi - m).abs() < f64::EPSILON {
+        if (hi - m).abs() < f64::EPSILON {
             // Degenerate flat trace: just set it to the mean target.
-            vec![mean; self.samples.len()]
+            self.samples.fill(mean);
         } else {
             let b = (peak.as_watts() - mean.as_watts()) / (hi - m);
             let a = mean.as_watts() - b * m;
-            self.samples
-                .iter()
-                .map(|p| Power::from_watts((a + b * p.as_watts()).max(0.0)))
-                .collect()
-        };
-        PowerTrace {
-            slot: self.slot,
-            samples,
+            for p in &mut self.samples {
+                *p = Power::from_watts((a + b * p.as_watts()).max(0.0));
+            }
         }
     }
 
@@ -242,6 +244,8 @@ pub fn generate(config: &TraceConfig) -> PowerTrace {
     let params = ShapeParams::for_shape(config.shape);
 
     let slot_hours = config.slot.as_hours();
+    let diurnal_at = params.diurnal();
+    let burst_probability = params.burst_rate_per_slot * slot_hours * 60.0;
     let mut raw = Vec::with_capacity(config.len);
     let mut ar = 0.0_f64;
     let mut burst = 0.0_f64;
@@ -250,7 +254,7 @@ pub fn generate(config: &TraceConfig) -> PowerTrace {
         let day_phase = (hours / 24.0).fract();
         let weekday = ((hours / 24.0).floor() as u64) % 7;
 
-        let diurnal = params.diurnal(day_phase);
+        let diurnal = diurnal_at(day_phase);
         let weekly = if weekday >= 5 {
             params.weekend_factor
         } else {
@@ -258,7 +262,7 @@ pub fn generate(config: &TraceConfig) -> PowerTrace {
         };
 
         ar = params.ar_coeff * ar + params.ar_sigma * rng.random::<f64>().mul_add(2.0, -1.0);
-        if rng.random::<f64>() < params.burst_rate_per_slot * slot_hours * 60.0 {
+        if rng.random::<f64>() < burst_probability {
             burst += params.burst_height * (0.5 + rng.random::<f64>());
         }
         burst *= params.burst_decay;
@@ -267,7 +271,9 @@ pub fn generate(config: &TraceConfig) -> PowerTrace {
         raw.push(Power::from_watts(v.max(0.0)));
     }
 
-    PowerTrace::new(config.slot, raw).rescale(config.mean, config.peak)
+    let mut trace = PowerTrace::new(config.slot, raw);
+    trace.rescale_in_place(config.mean, config.peak);
+    trace
 }
 
 fn shape_salt(shape: TraceShape) -> u64 {
@@ -288,7 +294,7 @@ struct ShapeParams {
     burst_height: f64,
     burst_decay: f64,
     /// Diurnal harmonics: (harmonic, weight, phase).
-    harmonics: &'static [(f64, f64, f64)],
+    harmonics: [(f64, f64, f64); 2],
     /// Soft-saturation gain: larger values flatten the daily curve into the
     /// load plateaus characteristic of interactive production traffic
     /// (the paper's Fig. 6b hovers near capacity through the working day).
@@ -309,7 +315,7 @@ impl ShapeParams {
                 burst_decay: 0.93,
                 // Single dominant daily cycle peaking early afternoon, with
                 // a shoulder.
-                harmonics: &[(1.0, 1.0, -1.83), (2.0, 0.25, 0.4)],
+                harmonics: [(1.0, 1.0, -1.83), (2.0, 0.25, 0.4)],
                 plateau_gain: 2.2,
             },
             TraceShape::Google => ShapeParams {
@@ -322,24 +328,29 @@ impl ShapeParams {
                 burst_height: 22.0,
                 burst_decay: 0.965,
                 // Weak daily cycle; load dominated by batch bursts.
-                harmonics: &[(1.0, 1.0, 0.2), (3.0, 0.35, 1.3)],
+                harmonics: [(1.0, 1.0, 0.2), (3.0, 0.35, 1.3)],
                 plateau_gain: 0.8,
             },
         }
     }
 
-    /// Diurnal profile in [-1, 1] at `phase` ∈ [0, 1) of the day.
-    fn diurnal(&self, phase: f64) -> f64 {
+    /// The diurnal profile: maps `phase` ∈ [0, 1) of the day to [-1, 1].
+    /// The harmonic weight sum and the saturation normalizer are evaluated
+    /// here once, not per sample.
+    fn diurnal(&self) -> impl Fn(f64) -> f64 + '_ {
         let two_pi = std::f64::consts::TAU;
         let total_weight: f64 = self.harmonics.iter().map(|h| h.1).sum();
-        let raw = self
-            .harmonics
-            .iter()
-            .map(|&(harm, w, ph)| w * (two_pi * harm * phase + ph).sin())
-            .sum::<f64>()
-            / total_weight;
-        // Soft saturation flattens the peaks into plateaus.
-        (self.plateau_gain * raw).tanh() / self.plateau_gain.tanh()
+        let plateau_norm = self.plateau_gain.tanh();
+        move |phase| {
+            let raw = self
+                .harmonics
+                .iter()
+                .map(|&(harm, w, ph)| w * (two_pi * harm * phase + ph).sin())
+                .sum::<f64>()
+                / total_weight;
+            // Soft saturation flattens the peaks into plateaus.
+            (self.plateau_gain * raw).tanh() / plateau_norm
+        }
     }
 }
 
