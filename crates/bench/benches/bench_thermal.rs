@@ -31,6 +31,19 @@ fn zone_model(c: &mut Criterion) {
         });
     });
 
+    // The at-rest path: below capacity at supply, the first sub-step is a
+    // bitwise fixed point and the other eleven are skipped. The 8.5 kW
+    // overload above never settles, so it pins the transient path.
+    c.bench_function("zone_step_one_minute_steady", |b| {
+        let mut zone = ZoneModel::paper_default();
+        b.iter(|| {
+            zone.step(
+                black_box(Power::from_kilowatts(6.0)),
+                Duration::from_minutes(1.0),
+            )
+        });
+    });
+
     c.bench_function("zone_fig11a_overload_sweep", |b| {
         let zone = ZoneModel::paper_default();
         let t32 = Temperature::from_celsius(32.0);

@@ -1,12 +1,14 @@
 //! Criterion benchmark harness for the paper's tables and figures.
 //!
-//! Besides the (empty) crate root, this library carries two reference
+//! Besides the (empty) crate root, this library carries three reference
 //! implementations kept verbatim as benchmark baselines and equivalence
 //! oracles for the optimized kernels in `hbm-thermal`:
 //!
 //! * [`nested`] — the pre-optimization `Vec<Vec<f64>>` CFD-lite kernel;
 //! * [`gather`] — the pre-scatter heat-matrix convolution that re-summed
-//!   `receivers × lags × sources` every step.
+//!   `receivers × lags × sources` every step;
+//! * [`full_schedule`] — the zone model integrator that computed every
+//!   sub-step of a slot, before the fixed-point skip.
 #![forbid(unsafe_code)]
 
 pub mod gather {
@@ -395,5 +397,115 @@ pub mod nested {
                 );
             }
         }
+    }
+}
+
+pub mod full_schedule {
+    //! The original zone-model integration loop, which computes every
+    //! sub-step of a step, kept verbatim (minus the telemetry span and the
+    //! API it doesn't need) as the bit-identity oracle for
+    //! `hbm_thermal::ZoneModel::step` and `ZoneLanes::step_all`, which skip
+    //! the sub-steps after a bitwise fixed point. Do not optimize this copy.
+
+    use hbm_thermal::CoolingSystem;
+    use hbm_units::{Duration, Power, Temperature};
+
+    /// Lumped-capacitance zone model that integrates every 5 s sub-step.
+    #[derive(Debug, Clone, Copy, PartialEq)]
+    pub struct FullScheduleZone {
+        cooling: CoolingSystem,
+        heat_capacity_j_per_k: f64,
+        pulldown_w_per_k: f64,
+        substep: Duration,
+        inlet: Temperature,
+    }
+
+    impl FullScheduleZone {
+        /// Creates a zone at thermal equilibrium (inlet = supply), with the
+        /// same parameters as `ZoneModel::new`.
+        ///
+        /// # Panics
+        ///
+        /// Panics if `cooling` fails validation.
+        pub fn new(
+            cooling: CoolingSystem,
+            heat_capacity_j_per_k: f64,
+            pulldown_w_per_k: f64,
+        ) -> Self {
+            cooling.validate().expect("invalid cooling system");
+            FullScheduleZone {
+                cooling,
+                heat_capacity_j_per_k,
+                pulldown_w_per_k,
+                substep: Duration::from_seconds(5.0),
+                inlet: cooling.supply,
+            }
+        }
+
+        /// Current server inlet temperature.
+        pub fn inlet(&self) -> Temperature {
+            self.inlet
+        }
+
+        /// Resets the inlet, clamped to the supply setpoint like
+        /// `ZoneModel::set_inlet`.
+        pub fn set_inlet(&mut self, inlet: Temperature) {
+            self.inlet = inlet.max(self.cooling.supply);
+        }
+
+        /// Advances the model by `dt` with a constant IT load, computing
+        /// every sub-step.
+        pub fn step(&mut self, it_load: Power, dt: Duration) -> Temperature {
+            assert!(it_load >= Power::ZERO, "IT load must be non-negative");
+            assert!(dt > Duration::ZERO, "step duration must be positive");
+            let mut remaining = dt.as_seconds();
+            while remaining > 0.0 {
+                let h = remaining.min(self.substep.as_seconds());
+                self.advance_seconds(it_load, h);
+                remaining -= h;
+            }
+            self.inlet
+        }
+
+        fn advance_seconds(&mut self, it_load: Power, h: f64) {
+            self.inlet = Temperature::from_celsius(substep_inlet_celsius(
+                self.inlet.as_celsius(),
+                it_load.as_watts(),
+                h,
+                self.cooling.capacity.as_watts(),
+                self.cooling.supply.as_celsius(),
+                self.cooling.derate_onset.as_celsius(),
+                self.cooling.derate_per_kelvin,
+                self.cooling.min_capacity_fraction,
+                self.heat_capacity_j_per_k,
+                self.pulldown_w_per_k,
+            ));
+        }
+    }
+
+    /// One explicit-Euler sub-step of the lumped-capacitance zone ODE.
+    #[allow(clippy::too_many_arguments)]
+    #[inline(always)]
+    fn substep_inlet_celsius(
+        inlet_c: f64,
+        it_load_w: f64,
+        h: f64,
+        capacity_w: f64,
+        supply_c: f64,
+        derate_onset_c: f64,
+        derate_per_kelvin: f64,
+        min_capacity_fraction: f64,
+        heat_capacity_j_per_k: f64,
+        pulldown_w_per_k: f64,
+    ) -> f64 {
+        let excess = (inlet_c - derate_onset_c).max(0.0);
+        let fraction = (1.0 - derate_per_kelvin * excess).max(min_capacity_fraction);
+        let capacity = capacity_w * fraction;
+        let rise = (inlet_c - supply_c).max(0.0);
+        let removable = it_load_w + pulldown_w_per_k * rise;
+        let q_cool = removable.min(capacity);
+        let net = it_load_w - q_cool; // may be negative (cooling down)
+        let delta = net * h / heat_capacity_j_per_k;
+        (inlet_c + delta).max(supply_c)
     }
 }

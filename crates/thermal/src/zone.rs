@@ -100,7 +100,10 @@ impl ZoneModel {
     /// the inlet temperature at the end of the step.
     ///
     /// Integrates internally with sub-steps for stability; `dt` can be a full
-    /// 1-minute simulation slot.
+    /// 1-minute simulation slot. Once a sub-step leaves the inlet
+    /// bit-identical, the rest of the slot's equal-length sub-steps are
+    /// skipped (see `run_substeps`); the result is unchanged. Emits the
+    /// `zone.step` telemetry span with one unit per computed sub-step.
     ///
     /// # Panics
     ///
@@ -109,31 +112,26 @@ impl ZoneModel {
         assert!(it_load >= Power::ZERO, "IT load must be non-negative");
         assert!(dt > Duration::ZERO, "step duration must be positive");
         let started = hbm_telemetry::timing::start();
-        let mut substeps: u64 = 0;
-        let mut remaining = dt.as_seconds();
-        while remaining > 0.0 {
-            let h = remaining.min(self.substep.as_seconds());
-            self.advance_seconds(it_load, h);
-            substeps += 1;
-            remaining -= h;
-        }
+        let load_w = it_load.as_watts();
+        let substeps = run_substeps(dt.as_seconds(), self.substep.as_seconds(), |h| {
+            let before = self.inlet.as_celsius();
+            let after = substep_inlet_celsius(
+                before,
+                load_w,
+                h,
+                self.cooling.capacity.as_watts(),
+                self.cooling.supply.as_celsius(),
+                self.cooling.derate_onset.as_celsius(),
+                self.cooling.derate_per_kelvin,
+                self.cooling.min_capacity_fraction,
+                self.heat_capacity_j_per_k,
+                self.pulldown_w_per_k,
+            );
+            self.inlet = Temperature::from_celsius(after);
+            after.to_bits() != before.to_bits()
+        });
         hbm_telemetry::timing::record_span_units("zone.step", started, substeps);
         self.inlet
-    }
-
-    fn advance_seconds(&mut self, it_load: Power, h: f64) {
-        self.inlet = Temperature::from_celsius(substep_inlet_celsius(
-            self.inlet.as_celsius(),
-            it_load.as_watts(),
-            h,
-            self.cooling.capacity.as_watts(),
-            self.cooling.supply.as_celsius(),
-            self.cooling.derate_onset.as_celsius(),
-            self.cooling.derate_per_kelvin,
-            self.cooling.min_capacity_fraction,
-            self.heat_capacity_j_per_k,
-            self.pulldown_w_per_k,
-        ));
     }
 
     /// Analytic time for the inlet to rise from the supply setpoint to
@@ -167,6 +165,36 @@ impl ZoneModel {
         let margin = (threshold - start).positive_part().as_celsius();
         Duration::from_seconds(self.heat_capacity_j_per_k * margin / overload.as_watts())
     }
+}
+
+/// Runs the sub-step schedule of one step of `dt_s` seconds: sub-steps of
+/// `h = remaining.min(substep_s)` until `remaining` is spent. `sweep(h)`
+/// advances the state by one sub-step and returns whether any inlet changed
+/// its bits. Returns the number of sweeps computed.
+///
+/// This is the one place the fixed-point rule lives, for both
+/// [`ZoneModel::step`] and [`ZoneLanes::step_all`]. The sub-step kernel is a
+/// pure function of `(inlet, load, h, params)`, so once a sweep leaves every
+/// inlet bit-identical, every later sweep with the same `h` would too: those
+/// are skipped. The schedule itself still runs in full, so a final partial
+/// `h` (a `dt` that is not a multiple of the sub-step) is still computed.
+#[inline(always)]
+fn run_substeps(dt_s: f64, substep_s: f64, mut sweep: impl FnMut(f64) -> bool) -> u64 {
+    let mut computed = 0;
+    let mut remaining = dt_s;
+    // The `h` of a sweep that moved nothing; NaN (equal to no `h`) until then.
+    let mut at_rest_h = f64::NAN;
+    while remaining > 0.0 {
+        let h = remaining.min(substep_s);
+        if h.to_bits() != at_rest_h.to_bits() {
+            computed += 1;
+            if !sweep(h) {
+                at_rest_h = h;
+            }
+        }
+        remaining -= h;
+    }
+    computed
 }
 
 /// One explicit-Euler sub-step of the lumped-capacitance zone ODE, on raw
@@ -298,8 +326,10 @@ impl ZoneLanes {
 
     /// Advances every lane by `dt` with its constant IT load from
     /// `it_loads_w` (watts, one entry per lane), sub-stepping exactly like
-    /// [`ZoneModel::step`]. Emits the `batch.zone` telemetry span with one
-    /// unit per lane-sub-step.
+    /// [`ZoneModel::step`]. A cache block of lanes skips the rest of the
+    /// slot's equal-length sub-steps once one sweep leaves all its inlets
+    /// bit-identical (see `run_substeps`). Emits the `batch.zone`
+    /// telemetry span with one unit per computed lane-sub-step.
     ///
     /// # Panics
     ///
@@ -317,18 +347,16 @@ impl ZoneLanes {
         // the sub-step schedule `h = remaining.min(substep_s)`) is exactly
         // the sweep order's — results are bit-identical.
         const BLOCK: usize = 256;
-        let mut substeps: u64 = 0;
+        let mut lane_substeps: u64 = 0;
         let mut start = 0;
         while start < self.len() {
             let end = (start + BLOCK).min(self.len());
-            substeps = 0;
-            let mut remaining = dt.as_seconds();
-            while remaining > 0.0 {
-                let h = remaining.min(self.substep_s);
+            let sweeps = run_substeps(dt.as_seconds(), self.substep_s, |h| {
                 // Zipped iteration (rather than indexing nine separate
                 // `Vec`s) lets the compiler drop the per-access bounds
                 // checks and keep the branch-free kernel vectorized over the
-                // lane dimension.
+                // lane dimension; the XOR/OR of the old and new bits is
+                // branch-free too.
                 let lanes = self.inlet_c[start..end]
                     .iter_mut()
                     .zip(&it_loads_w[start..end])
@@ -339,22 +367,21 @@ impl ZoneLanes {
                     .zip(&self.min_capacity_fraction[start..end])
                     .zip(&self.heat_capacity_j_per_k[start..end])
                     .zip(&self.pulldown_w_per_k[start..end]);
+                let mut moved = 0u64;
                 for ((((((((inlet, &load), &cap), &sup), &onset), &dpk), &minf), &hc), &pwk) in
                     lanes
                 {
-                    *inlet =
+                    let after =
                         substep_inlet_celsius(*inlet, load, h, cap, sup, onset, dpk, minf, hc, pwk);
+                    moved |= after.to_bits() ^ inlet.to_bits();
+                    *inlet = after;
                 }
-                substeps += 1;
-                remaining -= h;
-            }
+                moved != 0
+            });
+            lane_substeps += sweeps * (end - start) as u64;
             start = end;
         }
-        hbm_telemetry::timing::record_span_units(
-            "batch.zone",
-            started,
-            substeps * self.len() as u64,
-        );
+        hbm_telemetry::timing::record_span_units("batch.zone", started, lane_substeps);
     }
 }
 
@@ -516,6 +543,33 @@ mod tests {
         assert!(!lanes.is_empty());
         assert_eq!(lanes.supply_celsius(), &[27.0]);
         assert_eq!(lanes.inlet(0), Temperature::from_celsius(27.0));
+    }
+
+    /// The `h` of every sweep `run_substeps` computes when the sweep moves
+    /// the state for its first `moving` calls and then rests.
+    fn computed_schedule(dt_s: f64, moving: usize) -> Vec<f64> {
+        let mut hs = Vec::new();
+        let computed = run_substeps(dt_s, 5.0, |h| {
+            hs.push(h);
+            hs.len() <= moving
+        });
+        assert_eq!(computed, hs.len() as u64);
+        hs
+    }
+
+    #[test]
+    fn schedule_skips_only_equal_length_substeps_after_a_fixed_point() {
+        assert_eq!(computed_schedule(60.0, usize::MAX), vec![5.0; 12]);
+        assert_eq!(computed_schedule(60.0, 0), vec![5.0]);
+        assert_eq!(computed_schedule(60.0, 3), vec![5.0; 4]);
+        assert_eq!(computed_schedule(3.0, 0), vec![3.0]);
+        // The final partial sub-step has a different `h`, so it is computed
+        // even after the full-length ones came to rest.
+        assert_eq!(computed_schedule(62.5, 0), vec![5.0, 2.5]);
+        assert_eq!(computed_schedule(12.5, 1), vec![5.0, 5.0, 2.5]);
+        let mut full = vec![5.0; 12];
+        full.push(2.5);
+        assert_eq!(computed_schedule(62.5, usize::MAX), full);
     }
 
     #[test]
