@@ -9,12 +9,8 @@
 //! derive the cache/manifest key with [`Scenario::config_canonical`], and
 //! serialize the outcome with [`metrics_json`].
 
-use std::sync::{Arc, OnceLock, RwLock};
-
-use hbm_surrogate::{ThermalTier, TieredExtractor};
 use hbm_telemetry::fnv1a64;
 use hbm_telemetry::json::{parse_flat_object, JsonObject, JsonValue};
-use hbm_thermal::HeatMatrixModel;
 use hbm_units::{Energy, Power, Temperature};
 
 use crate::{
@@ -98,28 +94,6 @@ pub fn run_policy(
         sim.warmup(warmup_slots);
     }
     sim.run(slots)
-}
-
-/// Process-wide optional surrogate tier consulted by
-/// [`Scenario::thermal_model`]. `None` — the default — means no front end
-/// behaves any differently than before the tier existed.
-static THERMAL_TIER: OnceLock<RwLock<Option<Arc<TieredExtractor>>>> = OnceLock::new();
-
-fn thermal_tier_slot() -> &'static RwLock<Option<Arc<TieredExtractor>>> {
-    THERMAL_TIER.get_or_init(|| RwLock::new(None))
-}
-
-/// Installs (or, with `None`, clears) the process-wide surrogate tier.
-/// Front ends that opted in (e.g. `hbm-serve --surrogate`) call this once
-/// at startup; everything else never notices it.
-pub fn install_thermal_tier(tier: Option<Arc<TieredExtractor>>) {
-    *thermal_tier_slot().write().unwrap() = tier;
-}
-
-/// The currently installed surrogate tier, if any — front ends read this
-/// to report tier statistics (`/v1/metrics`) and per-response tier labels.
-pub fn installed_thermal_tier() -> Option<Arc<TieredExtractor>> {
-    thermal_tier_slot().read().unwrap().clone()
 }
 
 /// A declarative simulation request: the fields a front end (CLI flags or
@@ -227,6 +201,13 @@ impl Scenario {
         if self.days == 0 {
             return Err("days must be at least 1".into());
         }
+        for (key, days) in [("days", self.days), ("warmup_days", self.warmup_days)] {
+            if days.checked_mul(24 * 60).is_none() {
+                return Err(format!(
+                    "{key} is too large: {days} days of slots overflow a u64"
+                ));
+            }
+        }
         let mut config = ColoConfig::paper_default();
         if let Some(u) = self.utilization {
             if !(0.0..=1.0).contains(&u) {
@@ -260,32 +241,6 @@ impl Scenario {
         }
         config.validate()?;
         Ok(config)
-    }
-
-    /// Answers this scenario's heat-matrix model from the installed
-    /// surrogate tier, if one is installed (`Ok(None)` otherwise).
-    ///
-    /// The scenario's thermal operating point is its mean per-server power
-    /// — benign trace mean plus attacker standby, spread over the
-    /// container — at the tier's own supply/leakage settings. Of the
-    /// scenario overrides only `utilization` moves that point, so a
-    /// trained trust region covering the swept utilization range answers
-    /// every sweep point from the surrogate; anything outside falls back
-    /// to full extraction byte-identically (and is counted).
-    ///
-    /// # Errors
-    ///
-    /// Returns a message for an invalid scenario configuration or a query
-    /// the fallback path cannot extract.
-    pub fn thermal_model(&self) -> Result<Option<(HeatMatrixModel, ThermalTier)>, String> {
-        let Some(tier) = installed_thermal_tier() else {
-            return Ok(None);
-        };
-        let config = self.build_config()?;
-        let per_server_w =
-            (config.trace.mean + config.standby_power).as_watts() / config.server_count() as f64;
-        let query = tier.query_for_baseline(per_server_w);
-        tier.model_for(&query).map(Some)
     }
 
     /// Builds a fresh simulation for this scenario *without* running
@@ -707,6 +662,14 @@ mod tests {
         assert!(Scenario::from_flat_json("{\"policy\":\"myopic\",\"days\":1.5}").is_err());
         assert!(Scenario::from_flat_json("{\"policy\":3}").is_err());
         assert!(Scenario::from_flat_json("not json").is_err());
+        for body in [
+            "{\"policy\":\"myopic\",\"days\":18446744073709551615}",
+            "{\"policy\":\"myopic\",\"warmup_days\":18446744073709551615}",
+        ] {
+            let scenario = Scenario::from_flat_json(body).unwrap();
+            let err = scenario.build_config().unwrap_err();
+            assert!(err.contains("too large"), "{err}");
+        }
     }
 
     #[test]

@@ -10,7 +10,6 @@
 //!                      [--threshold-c F] [--cap-w F]
 //! experiments client [--addr HOST:PORT] <create|list|step|perturb|state|metrics|delete> ...
 //! experiments whatif --policy NAME [--fork-at SLOT] [--slots N] [--variant key=value[,...]]...
-//! experiments surrogate <fit|validate|sweep> --model FILE [...]
 //! ```
 //!
 //! Each experiment prints a summary table and writes the full data series
@@ -31,11 +30,6 @@
 //! lockstep comparison — where the futures diverge and how their
 //! outcomes differ — without re-simulating the shared prefix (see
 //! [`whatif`]).
-//!
-//! `surrogate` fits, validates, and error-sweeps the polynomial
-//! surrogate tier for heat-matrix extraction (see [`surrogate_cmd`] and
-//! `docs/SURROGATE.md`); the fitted artifact plugs into `hbm-serve
-//! --surrogate`.
 //!
 //! `--jobs N` runs independent experiments on up to `N` threads (0 = one
 //! per core); sweeps inside an experiment parallelize too, all drawing
@@ -58,7 +52,6 @@ mod figs_extra;
 mod figs_infra;
 mod figs_perf;
 mod figs_sense;
-mod surrogate_cmd;
 mod whatif;
 
 use common::{Options, Sink};
@@ -102,7 +95,6 @@ fn usage() {
     eprintln!("       experiments simulate --policy NAME [--days N] [--warmup-days N] [--seed N] [--util F] [--attack-load-kw F] [--battery-kwh F] [--threshold-c F] [--cap-w F]");
     eprintln!("       experiments client [--addr HOST:PORT] <create|list|step|perturb|state|metrics|delete> ...");
     eprintln!("       experiments whatif --policy NAME [--fork-at SLOT] [--slots N] [--variant key=value[,...]]...");
-    eprintln!("       experiments surrogate <fit|validate|sweep> --model FILE [...]");
     eprintln!("available experiments:");
     for (name, _) in EXPERIMENTS {
         eprintln!("  {name}");
@@ -136,13 +128,6 @@ const SUBCOMMANDS: &[Subcommand] = &[
         rejects: HARNESS_FLAGS,
         usage: || eprintln!("{}", whatif::USAGE),
         run: whatif::run_whatif,
-    },
-    // Surrogate fits record spans, so the timing flags are honored.
-    Subcommand {
-        name: "surrogate",
-        rejects: &["--out", "--jobs", "--trace"],
-        usage: || eprintln!("{}", surrogate_cmd::USAGE),
-        run: run_surrogate,
     },
     Subcommand {
         name: "client",
@@ -190,23 +175,6 @@ fn run_simulate(opts: &Options, args: &[String]) -> Result<(), String> {
         "{}",
         hbm_core::scenario::metrics_json(&scenario.config_canonical(), &report.metrics)
     );
-    Ok(())
-}
-
-/// `experiments surrogate ...` with its kernel timing report when
-/// `--timings` is set.
-fn run_surrogate(opts: &Options, args: &[String]) -> Result<(), String> {
-    if opts.timings {
-        hbm_telemetry::timing::set_timings_enabled(true);
-        for span in ["surrogate.fit", "surrogate.predict", "heat_matrix.extract"] {
-            hbm_telemetry::timing::declare_span(span);
-        }
-    }
-    surrogate_cmd::run_surrogate(opts, args)?;
-    if let Err(e) = print_timing_report(opts) {
-        eprintln!("error: {e}");
-        std::process::exit(1);
-    }
     Ok(())
 }
 
@@ -317,8 +285,6 @@ fn main() {
             "sim.step",
             "rl.batch_update",
             "rl.q_update",
-            "surrogate.fit",
-            "surrogate.predict",
         ] {
             hbm_telemetry::timing::declare_span(span);
         }

@@ -5,8 +5,7 @@
 //!           [--threads N] [--manifest-dir DIR] [--state-dir DIR]
 //!           [--max-experiments N] [--experiment-ttl SECS]
 //!           [--max-step-slots N] [--max-branches N]
-//!           [--max-branch-slots N] [--surrogate FILE]
-//!           [--surrogate-tolerance-c T] [--timings]
+//!           [--max-branch-slots N] [--timings]
 //! ```
 //!
 //! Runs until killed. See `docs/SERVICE.md` for the endpoint reference
@@ -19,7 +18,7 @@ use hbm_serve::{declare_spans, ServeConfig, Server};
 const USAGE: &str = "usage: hbm-serve [--addr HOST:PORT] [--workers N] [--queue N] [--cache N] \
 [--threads N] [--manifest-dir DIR] [--state-dir DIR] [--max-experiments N] \
 [--experiment-ttl SECS] [--max-step-slots N] [--max-branches N] [--max-branch-slots N] \
-[--surrogate FILE] [--surrogate-tolerance-c T] [--timings]
+[--timings]
   --addr HOST:PORT      listen address (default 127.0.0.1:7070)
   --workers N           scenario worker threads (default: available cores - 1, min 1)
   --queue N             bounded request queue capacity (default 32)
@@ -32,21 +31,12 @@ const USAGE: &str = "usage: hbm-serve [--addr HOST:PORT] [--workers N] [--queue 
   --max-step-slots N    largest slots one step request may ask for (default 1000000)
   --max-branches N      what-if branch capacity per experiment (default 16)
   --max-branch-slots N  largest slots one branch-step request may ask for (default 100000)
-  --surrogate FILE      load an hbm-surrogate-v1 artifact (from `experiments surrogate fit`)
-                        and answer in-region thermal queries from it; simulate and fork
-                        responses then carry an X-Thermal-Tier header and /v1/metrics
-                        reports surrogate_hits/misses/fallbacks
-  --surrogate-tolerance-c T
-                        max inlet error bound (°C) a surrogate answer may carry; models
-                        with a larger measured bound fall back to extraction (default 0.5)
   --timings             enable kernel timing spans (reported via logs on exit)";
 
 struct Args {
     addr: String,
     threads: usize,
     timings: bool,
-    surrogate: Option<PathBuf>,
-    surrogate_tolerance_c: f64,
     config: ServeConfig,
 }
 
@@ -58,8 +48,6 @@ fn parse_args(raw: &[String]) -> Result<Args, String> {
         addr: "127.0.0.1:7070".into(),
         threads: cores,
         timings: false,
-        surrogate: None,
-        surrogate_tolerance_c: 0.5,
         config: ServeConfig {
             workers: cores.saturating_sub(1).max(1),
             ..ServeConfig::default()
@@ -124,12 +112,6 @@ fn parse_args(raw: &[String]) -> Result<Args, String> {
                     .parse()
                     .map_err(|e| format!("--max-branch-slots: {e}"))?
             }
-            "--surrogate" => args.surrogate = Some(PathBuf::from(take("--surrogate")?)),
-            "--surrogate-tolerance-c" => {
-                args.surrogate_tolerance_c = take("--surrogate-tolerance-c")?
-                    .parse()
-                    .map_err(|e| format!("--surrogate-tolerance-c: {e}"))?
-            }
             "--timings" => args.timings = true,
             other => return Err(format!("unknown flag {other:?}")),
         }
@@ -155,37 +137,6 @@ fn main() {
     if args.timings {
         hbm_telemetry::timing::set_timings_enabled(true);
         declare_spans();
-    }
-    if let Some(path) = &args.surrogate {
-        let line = match std::fs::read_to_string(path) {
-            Ok(line) => line,
-            Err(e) => {
-                eprintln!("error: cannot read {}: {e}", path.display());
-                std::process::exit(1);
-            }
-        };
-        let model = match hbm_surrogate::SurrogateModel::from_flat_json(line.trim()) {
-            Ok(model) => model,
-            Err(e) => {
-                eprintln!("error: {}: {e}", path.display());
-                std::process::exit(1);
-            }
-        };
-        let bound = model.max_abs_err_inlet_c();
-        let within = bound <= args.surrogate_tolerance_c;
-        hbm_core::install_thermal_tier(Some(std::sync::Arc::new(
-            hbm_surrogate::TieredExtractor::with_model(model, args.surrogate_tolerance_c),
-        )));
-        println!(
-            "surrogate tier loaded from {} (inlet bound {bound:.3e} °C, tolerance {} °C{})",
-            path.display(),
-            args.surrogate_tolerance_c,
-            if within {
-                ""
-            } else {
-                "; bound exceeds tolerance, all queries will fall back"
-            },
-        );
     }
     let workers = args.config.workers;
     let queue = args.config.queue_capacity;

@@ -157,7 +157,7 @@ pub struct StepOutcome {
 }
 
 /// A successful fork: where the new branch sits in the tree.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ForkOutcome {
     /// The experiment id.
     pub id: String,
@@ -169,10 +169,6 @@ pub struct ForkOutcome {
     pub fork_slot: u64,
     /// Total branches after this fork.
     pub branches: u64,
-    /// The branch's effective scenario (tree base with the fork's
-    /// perturbation applied) — lets the server consult the thermal tier
-    /// for the branch without re-deriving the perturbation.
-    pub scenario: Scenario,
 }
 
 /// A successful lockstep branch step.
@@ -519,7 +515,6 @@ impl Supervisor {
             label,
             fork_slot: tree.fork_slot(),
             branches: tree.len() as u64,
-            scenario: perturbation.apply(tree.scenario()),
         };
         let report = Arc::new(branches_report(&slot.id, tree));
         drop(state);

@@ -15,7 +15,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use hbm_core::scenario::{metrics_json, run_scenarios_batch, BatchScenario};
-use hbm_core::{installed_thermal_tier, Perturbation, Scenario};
+use hbm_core::{Perturbation, Scenario};
 use hbm_telemetry::json::JsonObject;
 use hbm_telemetry::{timing, RunManifest};
 
@@ -183,25 +183,6 @@ pub fn declare_spans() {
     timing::declare_span("serve.simulate");
     timing::declare_span("serve.batch-simulate");
     timing::declare_span("serve.experiment");
-    timing::declare_span("surrogate.fit");
-    timing::declare_span("surrogate.predict");
-}
-
-/// Which tier would answer `scenario`'s thermal query, as a response
-/// header value — `None` when no surrogate tier is installed (the
-/// default), so responses are byte-identical to a tier-less build.
-///
-/// Consulting the tier is the hot-path integration point: it bumps the
-/// hit/miss/fallback counters `/v1/metrics` reports and warms the
-/// extraction cache for fallback queries.
-fn thermal_tier_label(scenario: &Scenario) -> Option<&'static str> {
-    installed_thermal_tier()?;
-    match scenario.thermal_model() {
-        Ok(answer) => answer.map(|(_, kind)| kind.as_str()),
-        // An unextractable query (invalid mapped config) never blocks the
-        // response; the header is simply omitted.
-        Err(_) => None,
-    }
 }
 
 impl Server {
@@ -819,13 +800,10 @@ fn run_simulate_job(shared: &Shared, scenario: &Scenario, canonical: &str, strea
     match result {
         Ok(body) => {
             ServeMetrics::bump(&shared.metrics.simulate_ok);
-            let mut extra = vec![
+            let extra = [
                 ("X-Cache", if hit { "hit" } else { "miss" }.to_string()),
                 ("X-Config-Hash", scenario.config_hash()),
             ];
-            if let Some(tier) = thermal_tier_label(scenario) {
-                extra.push(("X-Thermal-Tier", tier.to_string()));
-            }
             let _ = http::write_response(stream, 200, &extra, body.as_bytes());
         }
         Err(message) => {
@@ -894,11 +872,7 @@ fn run_experiment_job(shared: &Shared, kind: JobKind, stream: &mut TcpStream) {
                     .u64("fork_slot", outcome.fork_slot)
                     .u64("branches", outcome.branches);
                 let body = o.finish() + "\n";
-                let mut extra = Vec::new();
-                if let Some(tier) = thermal_tier_label(&outcome.scenario) {
-                    extra.push(("X-Thermal-Tier", tier.to_string()));
-                }
-                let _ = http::write_response(stream, 200, &extra, body.as_bytes());
+                let _ = http::write_response(stream, 200, &[], body.as_bytes());
             }
             Err(e) => respond_api_error(shared, stream, e),
         },
@@ -1105,17 +1079,6 @@ fn metrics_body(shared: &Shared, workers: usize) -> Vec<u8> {
         "checkpoint_failures",
         shared.supervisor.checkpoint_failures(),
     );
-    // Process-wide heat-matrix extraction cache (the serve scenario cache
-    // above is request-level; this one counts CFD extractions saved).
-    let matrix_cache = hbm_thermal::heat_matrix_cache_stats();
-    o.u64("heat_matrix_cache_hits", matrix_cache.hits)
-        .u64("heat_matrix_cache_misses", matrix_cache.misses);
-    // Surrogate tier decisions; all-zero when no tier is installed.
-    let tier_stats = installed_thermal_tier().map(|t| t.stats());
-    o.u64("surrogate_hits", tier_stats.map_or(0, |s| s.hits))
-        .u64("surrogate_misses", tier_stats.map_or(0, |s| s.misses))
-        .u64("surrogate_fallbacks", tier_stats.map_or(0, |s| s.fallbacks))
-        .f64("surrogate_bound_c", tier_stats.map_or(0.0, |s| s.bound_c));
     let mut body = o.finish().into_bytes();
     body.push(b'\n');
     body

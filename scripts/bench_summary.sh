@@ -110,10 +110,6 @@ awk -F'"' '
         if (cold > 0 && cached > 0)
             printf "heat-matrix extraction: cold %.1f us vs cached %.3f us  ->  %.0fx faster\n",
                 cold / 1000, cached / 1000, cold / cached
-        sur = median["surrogate/predict_4_servers"]
-        if (cold > 0 && sur > 0)
-            printf "surrogate predict vs cold extraction: %.3f us vs %.1f us  ->  %.0fx cheaper\n",
-                sur / 1000, cold / 1000, cold / sur
         step = median["heat_matrix_model_step_40_servers"]
         gat = median["heat_matrix_model_step_40_servers_gather_baseline"]
         if (step > 0 && gat > 0)

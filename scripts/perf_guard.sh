@@ -10,7 +10,6 @@
 #   * serve/session_slot_ns                     (sessionful serving, slot_ns)
 #   * fork_vs_rerun/fork                   (what-if fork cost, median_ns)
 #   * fork_vs_rerun/rerun                  (rerun-from-0 baseline, median_ns)
-#   * surrogate/predict_4_servers          (surrogate-tier predict, median_ns)
 #
 # Smoke runs on shared CI runners are noisy, hence the wide default
 # guardband (2x): the guard catches structural regressions — lost
@@ -69,6 +68,5 @@ guard "learning_fleet_slots_per_sec/batched" median_ns
 guard "serve/session_slot_ns" slot_ns
 guard "fork_vs_rerun/fork" median_ns
 guard "fork_vs_rerun/rerun" median_ns
-guard "surrogate/predict_4_servers" median_ns
 
 exit $status
